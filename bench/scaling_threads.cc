@@ -8,7 +8,7 @@
 //   scaling_threads [--dataset fb] [--bulk N] [--ops N] [--seed N]
 //                   [--threads 1,2,4,8] [--shards 1,4]
 //                   [--indexes btree,alex,pgm] [--workloads ycsb-a,ycsb-c]
-//                   [--lock-modes exclusive,shared,optimistic]
+//                   [--lock-modes exclusive,shared]
 //                   [--zipf 0.99] [--csv FILE]
 //
 // --csv writes machine-readable rows (bench_to_json.py schema: index,
@@ -87,7 +87,7 @@ ScalingArgs ParseArgs(int argc, char** argv) {
       std::printf(
           "flags: --dataset NAME --bulk N --ops N --seed N --zipf THETA\n"
           "       --threads a,b,c --shards a,b --indexes a,b --workloads a,b\n"
-          "       --lock-modes exclusive,shared,optimistic --csv FILE\n");
+          "       --lock-modes exclusive,shared --csv FILE\n");
       std::exit(0);
     }
     // Unknown flags are ignored so shared sweep scripts can pass through
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       "Expected shape: under the default exclusive locking, read-only YCSB-C\n"
       "scales near-linearly with threads once shards >= threads; YCSB-A\n"
       "flattens earlier because Zipfian-hot shards serialize writers on the\n"
-      "shard latch. --lock-modes shared,optimistic lets YCSB-C scale with\n"
+      "shard latch. --lock-modes shared lets YCSB-C scale with\n"
       "threads even when shards < threads (readers overlap on one shard);\n"
       "YCSB-A still flattens on its writer half.\n");
   return 0;

@@ -4,7 +4,7 @@
 Usage:
     bench_to_json.py LABEL=FILE.csv [LABEL=FILE.csv ...] [-o BENCH_smoke.json]
 
-Each input is one CSV emitted by ``liod_cli --csv`` or ``bench/recovery_sweep``
+Each input is one CSV emitted by ``liod_cli run --csv`` or ``bench/recovery_sweep``
 (both carry a ``tput_ops_s`` column; the other ``bench/*`` sweep binaries
 emit per-disk throughput columns instead and are not accepted). Every data
 row becomes one JSON record tagged with its label; the required columns

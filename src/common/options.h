@@ -112,32 +112,25 @@ inline bool MergeModeFromName(const std::string& name, MergeMode* out) {
 /// checkpoints) always hold the shard exclusively; the mode decides how
 /// read-only operations (Lookup/Scan) coordinate with them.
 enum class ShardLockMode {
-  kExclusive,   ///< every op takes the shard exclusively (the historical
-                ///< mutex behavior; default, bit-exact I/O)
-  kShared,      ///< readers take shared ownership of a reader/writer latch
-  kOptimistic,  ///< readers validate a per-shard version counter and only
-                ///< try-acquire the latch; conflicts retry, then fall back
-                ///< to a blocking shared acquisition
+  kExclusive,  ///< every op takes the shard exclusively (the historical
+               ///< mutex behavior; default, bit-exact I/O)
+  kShared,     ///< readers take shared ownership of a reader/writer latch
 };
 
 inline const char* ShardLockModeName(ShardLockMode mode) {
   switch (mode) {
     case ShardLockMode::kExclusive: return "exclusive";
     case ShardLockMode::kShared: return "shared";
-    case ShardLockMode::kOptimistic: return "optimistic";
   }
   return "unknown";
 }
 
-/// Parses "exclusive" / "shared" / "optimistic". Returns false on an unknown
-/// name.
+/// Parses "exclusive" / "shared". Returns false on an unknown name.
 inline bool ShardLockModeFromName(const std::string& name, ShardLockMode* out) {
   if (name == "exclusive") {
     *out = ShardLockMode::kExclusive;
   } else if (name == "shared") {
     *out = ShardLockMode::kShared;
-  } else if (name == "optimistic") {
-    *out = ShardLockMode::kOptimistic;
   } else {
     return false;
   }

@@ -32,7 +32,7 @@ const char* OpPhaseName(OpPhase phase);
 /// stripe, and totals() merges the stripes on read (the same
 /// merge-on-read shape as IoStats::ThreadTally). Every index op -- including
 /// read-only lookups -- charges a PhaseScope here, and under the engine's
-/// shared/optimistic lock modes those lookups run in parallel on one index
+/// shared lock mode those lookups run in parallel on one index
 /// instance; a single global mutex made Record a serialization point
 /// exactly where the engine is supposed to scale.
 class OpBreakdown {

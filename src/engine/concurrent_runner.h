@@ -52,7 +52,7 @@ struct ConcurrentRunResult {
   ///    bound is all of its I/O drained back to back. This is what makes
   ///    1-shard/N-thread configurations (correctly) not scale their modeled
   ///    I/O.
-  ///  - shared/optimistic: only exclusive ops (inserts, RMWs, merges, end-of-
+  ///  - shared: only exclusive ops (inserts, RMWs, merges, end-of-
   ///    window flushes) serialize on the shard. Shared-latch reads overlap
   ///    each other, so across threads they complete no later than the
   ///    slowest single thread's shared I/O on that shard: the bound is

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/index_factory.h"
 #include "kv/execute.h"
@@ -22,10 +25,16 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Hard failure = anything that is neither success nor a lookup miss (the
-/// batch-Status contract shared with kv::ExecuteOnIndex).
-bool IsHardFailure(Status::Code code) {
-  return code != Status::Code::kOk && code != Status::Code::kNotFound;
+/// Shard i's options: its durable slot (per-shard WALs: shard i logs to
+/// `store`'s slot i) and, with telemetry on, the "shard<i>." namespace the
+/// decorator and WAL register their counters/gauges under, so one registry
+/// can hold every shard.
+IndexOptions ShardOptions(IndexOptions options, std::size_t i, DurableStore* store) {
+  if (store != nullptr) options.durable_slot = store->slot(i);
+  if (options.metrics != nullptr || options.trace != nullptr) {
+    options.metrics_prefix = "shard" + std::to_string(i) + ".";
+  }
+  return options;
 }
 
 }  // namespace
@@ -55,10 +64,8 @@ std::size_t ShardedEngine::ShardFor(Key key) const {
   return static_cast<std::size_t>(it - lower_bounds_.begin()) - 1;
 }
 
-Status ShardedEngine::Bulkload(std::span<const Record> records) {
-  if (!shards_.empty()) {
-    return Status::FailedPrecondition("ShardedEngine: Bulkload already called");
-  }
+Status ShardedEngine::PlanShards(std::span<const Record> records, std::vector<std::size_t>* cuts,
+                                 IndexOptions* shard_options) {
   // Validate sortedness up front: each shard only validates its own slice,
   // which would miss a violation straddling a cut point -- and unsorted input
   // would silently break key routing.
@@ -69,62 +76,67 @@ Status ShardedEngine::Bulkload(std::span<const Record> records) {
           std::to_string(i) + ")");
     }
   }
-
   const std::size_t num_shards = std::max<std::size_t>(
       1, std::min(options_.num_shards, std::max<std::size_t>(records.size(), 1)));
 
-  IndexOptions shard_options = options_.index;
-  if (options_.share_buffers_across_shards &&
-      shard_options.shared_buffer_budget_blocks > 0 &&
-      shard_options.shared_buffer_manager == nullptr) {
+  *shard_options = options_.index;
+  if (options_.share_buffers_across_shards && shard_options->shared_buffer_budget_blocks > 0 &&
+      shard_options->shared_buffer_manager == nullptr) {
     // One budget spanning all shards: the engine owns the manager and injects
     // it into every shard's index.
-    shared_buffers_ =
-        std::make_unique<BufferManager>(BufferManagerOptionsFrom(shard_options));
-    shard_options.shared_buffer_manager = shared_buffers_.get();
+    shared_buffers_ = std::make_unique<BufferManager>(BufferManagerOptionsFrom(*shard_options));
+    shard_options->shared_buffer_manager = shared_buffers_.get();
   }
+  if (shard_options->durability == DurabilityPolicy::kGroupCommit &&
+      shard_options->group_commit == nullptr) {
+    // Commit forcing is amortized through ONE group-commit window spanning
+    // every shard, so the window fills at the engine's aggregate op rate.
+    group_commit_ = std::make_unique<GroupCommitWindow>(shard_options->wal_group_window);
+    shard_options->group_commit = group_commit_.get();
+  }
+
+  // Equal-count cut points over the sorted bulkload set; shard i owns keys in
+  // [records[cuts[i]].key, records[cuts[i+1]].key).
+  cuts->resize(num_shards + 1);
+  for (std::size_t i = 0; i <= num_shards; ++i) (*cuts)[i] = i * records.size() / num_shards;
+  lower_bounds_.assign(1, kMinKey);
+  for (std::size_t i = 1; i < num_shards; ++i) {
+    lower_bounds_.push_back(records[(*cuts)[i]].key);
+  }
+  return Status::Ok();
+}
+
+void ShardedEngine::ResetShards() {
+  shards_.clear();
+  lower_bounds_.clear();
+  shared_buffers_.reset();
+  group_commit_.reset();
+  owned_durable_store_.reset();
+}
+
+Status ShardedEngine::Bulkload(std::span<const Record> records) {
+  if (!shards_.empty()) {
+    return Status::FailedPrecondition("ShardedEngine: Bulkload already called");
+  }
+  std::vector<std::size_t> cuts;
+  IndexOptions shard_options;
+  LIOD_RETURN_IF_ERROR(PlanShards(records, &cuts, &shard_options));
+  const std::size_t num_shards = cuts.size() - 1;
 
   DurableStore* durable_store = nullptr;
   if (shard_options.durability != DurabilityPolicy::kNone) {
-    // Per-shard WALs: shard i logs to the store's slot i. Commit forcing is
-    // amortized through ONE group-commit window spanning every shard, so the
-    // window fills at the engine's aggregate operation rate.
     durable_store = options_.durable_store;
     if (durable_store == nullptr) {
       owned_durable_store_ = std::make_unique<DurableStore>(shard_options.block_size);
       durable_store = owned_durable_store_.get();
     }
-    if (shard_options.durability == DurabilityPolicy::kGroupCommit &&
-        shard_options.group_commit == nullptr) {
-      group_commit_ = std::make_unique<GroupCommitWindow>(shard_options.wal_group_window);
-      shard_options.group_commit = group_commit_.get();
-    }
-  }
-
-  // Equal-count cut points over the sorted bulkload set; shard i owns keys in
-  // [records[cuts[i]].key, records[cuts[i+1]].key).
-  std::vector<std::size_t> cuts(num_shards + 1);
-  for (std::size_t i = 0; i <= num_shards; ++i) cuts[i] = i * records.size() / num_shards;
-  lower_bounds_.assign(1, kMinKey);
-  for (std::size_t i = 1; i < num_shards; ++i) {
-    lower_bounds_.push_back(records[cuts[i]].key);
   }
 
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    if (durable_store != nullptr) shard_options.durable_slot = durable_store->slot(i);
-    // Per-shard metric namespace: the decorator and WAL register their
-    // counters/gauges under "shard<i>." so one registry can hold every shard.
-    if (shard_options.metrics != nullptr || shard_options.trace != nullptr) {
-      shard_options.metrics_prefix = "shard" + std::to_string(i) + ".";
-    }
-    shard->index = MakeIndex(options_.index_name, shard_options);
+    shard->index = MakeIndex(options_.index_name, ShardOptions(shard_options, i, durable_store));
     if (shard->index == nullptr) {
-      shards_.clear();
-      lower_bounds_.clear();
-      shared_buffers_.reset();
-      group_commit_.reset();
-      owned_durable_store_.reset();
+      ResetShards();
       return Status::InvalidArgument("ShardedEngine: unknown index '" + options_.index_name +
                                      "'");
     }
@@ -147,12 +159,7 @@ Status ShardedEngine::Bulkload(std::span<const Record> records) {
   }
   for (const Status& status : statuses) {
     if (!status.ok()) {
-      // Do not leave a half-loaded engine looking ready.
-      shards_.clear();
-      lower_bounds_.clear();
-      shared_buffers_.reset();
-      group_commit_.reset();
-      owned_durable_store_.reset();
+      ResetShards();
       return status;
     }
   }
@@ -172,55 +179,21 @@ Status ShardedEngine::RecoverFrom(DurableStore* store, std::span<const Record> r
     return Status::FailedPrecondition(
         "ShardedEngine::RecoverFrom requires durability != kNone");
   }
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    if (records[i].key <= records[i - 1].key) {
-      return Status::InvalidArgument(
-          "bulkload input must be sorted by strictly increasing key (violation at index " +
-          std::to_string(i) + ")");
-    }
-  }
-
-  // Cut points MUST be recomputed exactly as Bulkload computed them, so each
-  // recovered shard finds its own WAL/checkpoint in the matching store slot.
-  const std::size_t num_shards = std::max<std::size_t>(
-      1, std::min(options_.num_shards, std::max<std::size_t>(records.size(), 1)));
-
-  IndexOptions shard_options = options_.index;
-  if (options_.share_buffers_across_shards &&
-      shard_options.shared_buffer_budget_blocks > 0 &&
-      shard_options.shared_buffer_manager == nullptr) {
-    shared_buffers_ =
-        std::make_unique<BufferManager>(BufferManagerOptionsFrom(shard_options));
-    shard_options.shared_buffer_manager = shared_buffers_.get();
-  }
-  if (shard_options.durability == DurabilityPolicy::kGroupCommit &&
-      shard_options.group_commit == nullptr) {
-    group_commit_ = std::make_unique<GroupCommitWindow>(shard_options.wal_group_window);
-    shard_options.group_commit = group_commit_.get();
-  }
-
-  std::vector<std::size_t> cuts(num_shards + 1);
-  for (std::size_t i = 0; i <= num_shards; ++i) cuts[i] = i * records.size() / num_shards;
-  lower_bounds_.assign(1, kMinKey);
-  for (std::size_t i = 1; i < num_shards; ++i) {
-    lower_bounds_.push_back(records[cuts[i]].key);
-  }
+  // Cut points MUST be the ones Bulkload computed, so each recovered shard
+  // finds its own WAL/checkpoint in the matching store slot.
+  std::vector<std::size_t> cuts;
+  IndexOptions shard_options;
+  LIOD_RETURN_IF_ERROR(PlanShards(records, &cuts, &shard_options));
+  const std::size_t num_shards = cuts.size() - 1;
 
   RecoverySummary agg;
   for (std::size_t i = 0; i < num_shards; ++i) {
-    shard_options.durable_slot = store->slot(i);
-    if (shard_options.metrics != nullptr || shard_options.trace != nullptr) {
-      shard_options.metrics_prefix = "shard" + std::to_string(i) + ".";
-    }
     RecoveryResult result;
-    const Status status =
-        RecoveryManager::Recover(store->slot(i), options_.index_name, shard_options,
-                                 records.subspan(cuts[i], cuts[i + 1] - cuts[i]), &result);
+    const Status status = RecoveryManager::Recover(
+        store->slot(i), options_.index_name, ShardOptions(shard_options, i, store),
+        records.subspan(cuts[i], cuts[i + 1] - cuts[i]), &result);
     if (!status.ok()) {
-      shards_.clear();
-      lower_bounds_.clear();
-      shared_buffers_.reset();
-      group_commit_.reset();
+      ResetShards();
       return status;
     }
     agg.replayed_records += result.replayed_records;
@@ -241,22 +214,19 @@ void ShardedEngine::RegisterTelemetry() {
   metrics_ = options_.index.metrics;
   trace_ = options_.index.trace;
   if (metrics_ == nullptr) return;
-  lookup_us_id_ = metrics_->Histogram("engine.lookup_us");
-  insert_us_id_ = metrics_->Histogram("engine.insert_us");
-  delete_us_id_ = metrics_->Histogram("engine.delete_us");
-  rmw_us_id_ = metrics_->Histogram("engine.rmw_us");
-  scan_us_id_ = metrics_->Histogram("engine.scan_us");
+  for (std::size_t k = 0; k < kv::kNumOpKinds; ++k) {
+    const std::string kind = kv::OpKindName(static_cast<kv::OpKind>(k));
+    op_us_ids_[k] = metrics_->Histogram("engine." + kind + "_us");
+  }
   execute_us_id_ = metrics_->Histogram("engine.execute_us");
   lock_wait_us_id_ = metrics_->Histogram("engine.lock_wait_us");
   shard_metric_ids_.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::string prefix = "shard" + std::to_string(i) + ".";
     ShardMetricIds& ids = shard_metric_ids_[i];
-    ids.lookups = metrics_->Counter(prefix + "ops.lookup");
-    ids.inserts = metrics_->Counter(prefix + "ops.insert");
-    ids.deletes = metrics_->Counter(prefix + "ops.delete");
-    ids.rmws = metrics_->Counter(prefix + "ops.rmw");
-    ids.scans = metrics_->Counter(prefix + "ops.scan");
+    for (std::size_t k = 0; k < kv::kNumOpKinds; ++k) {
+      ids.ops[k] = metrics_->Counter(prefix + "ops." + kv::OpKindName(static_cast<kv::OpKind>(k)));
+    }
     ids.lock_waits = metrics_->Counter(prefix + "lock_waits");
     const std::vector<std::string> names =
         RegisterBufferGauges(metrics_, prefix, &shards_[i]->index->io_stats());
@@ -293,12 +263,9 @@ std::vector<HeatSnapshot> ShardedEngine::HeatSnapshots() const {
 
 void ShardedEngine::BlockingSharedAcquire(std::size_t s, Shard& shard) {
   shard.index->io_stats().CountReadLockWait();
-  if (metrics_ == nullptr && trace_ == nullptr) {
-    shard.mu.lock_shared();
-    return;
-  }
   TraceRecorder::Scope span(trace_, "lock_wait", "lock", static_cast<int>(s));
-  const auto start = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point start;
+  if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
   shard.mu.lock_shared();
   if (metrics_ != nullptr) {
     metrics_->Add(shard_metric_ids_[s].lock_waits);
@@ -307,10 +274,24 @@ void ShardedEngine::BlockingSharedAcquire(std::size_t s, Shard& shard) {
 }
 
 template <typename Op>
-Status ShardedEngine::RunSharedLocked(std::size_t s, IoStatsSnapshot* io,
-                                      std::vector<IoStatsSnapshot>* shared_io,
-                                      const Op& op) {
+Status ShardedEngine::RunOnShard(std::size_t s, bool write, IoStatsSnapshot* io,
+                                 std::vector<IoStatsSnapshot>* shared_io, const Op& op) {
   Shard& shard = *shards_[s];
+  if (write || options_.shard_lock_mode == ShardLockMode::kExclusive) {
+    // Exclusive latch and snapshot-delta attribution (exact because nothing
+    // else touches this shard's counters while the latch is held).
+    std::lock_guard<std::shared_mutex> lock(shard.mu);
+    const IoStatsSnapshot before = shard.index->io_stats().snapshot();
+    const Status status = op(shard.index.get());
+    if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
+    return status;
+  }
+  if (!shard.mu.try_lock_shared()) {
+    // A writer (or latch contention) is in the way: count the blocking
+    // acquisition, then wait.
+    BlockingSharedAcquire(s, shard);
+  }
+  std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
   IoStatsSnapshot delta;
   Status status;
   {
@@ -329,232 +310,8 @@ Status ShardedEngine::RunSharedLocked(std::size_t s, IoStatsSnapshot* io,
   return status;
 }
 
-template <typename Op>
-Status ShardedEngine::ReadOnShard(std::size_t s, IoStatsSnapshot* io,
-                                  std::vector<IoStatsSnapshot>* shared_io, const Op& op) {
-  Shard& shard = *shards_[s];
-  switch (options_.shard_lock_mode) {
-    case ShardLockMode::kExclusive: {
-      // Historical behavior, kept bit-exact: exclusive latch and snapshot-
-      // delta attribution (exact because nothing else touches this shard's
-      // counters while the latch is held).
-      std::lock_guard<std::shared_mutex> lock(shard.mu);
-      const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-      const Status status = op(shard.index.get());
-      if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-      return status;
-    }
-    case ShardLockMode::kShared: {
-      if (!shard.mu.try_lock_shared()) {
-        // A writer (or latch contention) is in the way: count the blocking
-        // acquisition, then wait.
-        BlockingSharedAcquire(s, shard);
-      }
-      std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
-      return RunSharedLocked(s, io, shared_io, op);
-    }
-    case ShardLockMode::kOptimistic: {
-      // Optimistic protocol: validate the shard version, try-acquire the
-      // shared latch without blocking, and revalidate after acquisition; a
-      // writer observed at any point is a conflict that retries from the
-      // top. Every retry happens BEFORE the operation executes, so counted
-      // I/O is identical to the other modes. The op itself still runs under
-      // the (try-acquired) shared latch: the single-threaded index
-      // structures are never traversed concurrently with a writer, which a
-      // genuinely latch-free read could not guarantee.
-      const std::size_t limit = std::max<std::size_t>(1, options_.optimistic_retry_limit);
-      for (std::size_t attempt = 0; attempt < limit; ++attempt) {
-        const std::uint64_t v = shard.version.load(std::memory_order_acquire);
-        if ((v & 1) == 0 && shard.mu.try_lock_shared()) {
-          std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
-          if (shard.version.load(std::memory_order_relaxed) == v) {
-            return RunSharedLocked(s, io, shared_io, op);
-          }
-          // A writer slipped between the version load and the latch:
-          // validation failed, release and retry.
-        }
-        shard.index->io_stats().CountOptimisticRetry();
-        std::this_thread::yield();
-      }
-      // Contended past the retry budget: degrade to the shared mode's
-      // blocking acquisition.
-      BlockingSharedAcquire(s, shard);
-      std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
-      return RunSharedLocked(s, io, shared_io, op);
-    }
-  }
-  return Status::InvalidArgument("ShardedEngine: unknown shard_lock_mode");
-}
-
-// ExecuteSingle keeps a telemetry-off fast path per kind that is
-// byte-for-byte the historical per-op code (no clock reads, no extra
-// branches inside the latch), so the default configuration's timing and
-// counted I/O are untouched. The instrumented path wraps the SAME body --
-// telemetry observes the op, it never changes what the op does.
-
-Status ShardedEngine::ExecuteSingle(const kv::Request& req, kv::Response* resp,
-                                    IoStatsSnapshot* io,
-                                    std::vector<IoStatsSnapshot>* shared_io,
-                                    std::vector<Record>* scan_dest) {
-  resp->Reset();
-  switch (req.kind) {
-    case kv::OpKind::kLookup: {
-      const std::size_t s = ShardFor(req.key);
-      const auto op = [&](DiskIndex* index) {
-        return index->Lookup(req.key, &resp->payload, &resp->found);
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = ReadOnShard(s, io, shared_io, op);
-      } else {
-        TraceRecorder::Scope span(trace_, "lookup", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = ReadOnShard(s, io, shared_io, op);
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kLookup, req.key);
-          metrics_->Observe(lookup_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = !status.ok()
-                       ? status.code()
-                       : (resp->found ? Status::Code::kOk : Status::Code::kNotFound);
-      return status;
-    }
-    case kv::OpKind::kInsert: {
-      const std::size_t s = ShardFor(req.key);
-      Shard& shard = *shards_[s];
-      const auto run = [&] {
-        WriteGuard guard(shard);
-        const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-        const Status status = shard.index->Insert(req.key, req.payload);
-        if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-        return status;
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        TraceRecorder::Scope span(trace_, "insert", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kInsert, req.key);
-          metrics_->Observe(insert_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-    case kv::OpKind::kDelete: {
-      const std::size_t s = ShardFor(req.key);
-      Shard& shard = *shards_[s];
-      const auto run = [&] {
-        WriteGuard guard(shard);
-        const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-        const Status status = shard.index->Delete(req.key);
-        if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-        return status;
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        TraceRecorder::Scope span(trace_, "delete", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kDelete, req.key);
-          metrics_->Observe(delete_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-    case kv::OpKind::kReadModifyWrite: {
-      const std::size_t s = ShardFor(req.key);
-      Shard& shard = *shards_[s];
-      const auto run = [&] {
-        WriteGuard guard(shard);
-        const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-        Status status = shard.index->Lookup(req.key, &resp->payload, &resp->found);
-        if (status.ok()) status = shard.index->Insert(req.key, req.payload);
-        if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-        return status;
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        TraceRecorder::Scope span(trace_, "rmw", "op", static_cast<int>(s));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(s, kv::OpKind::kReadModifyWrite, req.key);
-          metrics_->Observe(rmw_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-    case kv::OpKind::kScan: {
-      if (req.scan_count == 0) {
-        resp->code = Status::Code::kInvalidArgument;
-        return Status::InvalidArgument("scan_count must be > 0");
-      }
-      std::vector<Record>* out = scan_dest != nullptr ? scan_dest : &resp->records;
-      const std::size_t count = req.scan_count;
-      const std::size_t first = ShardFor(req.key);
-      const auto run = [&] {
-        out->clear();
-        std::vector<Record> part;
-        Key cursor = req.key;
-        // Shards are visited in increasing order and latched one at a time,
-        // so concurrent cross-shard scans cannot deadlock with each other or
-        // with point operations. The price is the relaxed cross-shard
-        // guarantee documented on the class: each per-shard segment is
-        // atomic, the stitched result is not a point-in-time snapshot of the
-        // whole engine.
-        for (std::size_t s = first; s < shards_.size() && out->size() < count; ++s) {
-          if (cursor < lower_bounds_[s]) cursor = lower_bounds_[s];
-          const Status status = ReadOnShard(s, io, shared_io, [&](DiskIndex* index) {
-            return index->Scan(cursor, count - out->size(), &part);
-          });
-          LIOD_RETURN_IF_ERROR(status);
-          out->insert(out->end(), part.begin(), part.end());
-        }
-        return Status::Ok();
-      };
-      Status status;
-      if (metrics_ == nullptr && trace_ == nullptr) {
-        status = run();
-      } else {
-        // One span for the whole stitched scan, tagged with the starting
-        // shard.
-        TraceRecorder::Scope span(trace_, "scan", "op", static_cast<int>(first));
-        const auto start = std::chrono::steady_clock::now();
-        status = run();
-        if (metrics_ != nullptr) {
-          CountOp(first, kv::OpKind::kScan, req.key);
-          metrics_->Observe(scan_us_id_, ElapsedUs(start));
-        }
-      }
-      resp->code = status.code();
-      return status;
-    }
-  }
-  resp->code = Status::Code::kInvalidArgument;
-  return Status::InvalidArgument("ShardedEngine: unknown op kind");
-}
-
 void ShardedEngine::CountOp(std::size_t s, kv::OpKind kind, Key key) {
-  const ShardMetricIds& ids = shard_metric_ids_[s];
-  switch (kind) {
-    case kv::OpKind::kLookup: metrics_->Add(ids.lookups); break;
-    case kv::OpKind::kInsert: metrics_->Add(ids.inserts); break;
-    case kv::OpKind::kDelete: metrics_->Add(ids.deletes); break;
-    case kv::OpKind::kScan: metrics_->Add(ids.scans); break;
-    case kv::OpKind::kReadModifyWrite: metrics_->Add(ids.rmws); break;
-  }
+  metrics_->Add(shard_metric_ids_[s].ops[static_cast<std::size_t>(kind)]);
   if (!heat_.empty()) heat_[s]->Record(kind, key);
 }
 
@@ -565,7 +322,7 @@ Status ShardedEngine::ContinueScan(std::size_t home, const kv::Request& req,
   for (std::size_t s = home + 1;
        s < shards_.size() && resp->records.size() < req.scan_count; ++s) {
     const Key cursor = std::max(req.key, lower_bounds_[s]);
-    const Status status = ReadOnShard(s, io, shared_io, [&](DiskIndex* index) {
+    const Status status = RunOnShard(s, false, io, shared_io, [&](DiskIndex* index) {
       return index->Scan(cursor, req.scan_count - resp->records.size(), &part);
     });
     if (!status.ok()) {
@@ -577,29 +334,38 @@ Status ShardedEngine::ContinueScan(std::size_t home, const kv::Request& req,
   return Status::Ok();
 }
 
-Status ShardedEngine::ExecuteBatch(kv::RequestBatch& batch, IoStatsSnapshot* io,
-                                   std::vector<IoStatsSnapshot>* shared_io) {
-  auto& reqs = batch.requests;
-  auto& resps = batch.responses;
-  TraceRecorder::Scope span(trace_, "execute", "op");
+Status ShardedEngine::Dispatch(std::span<const kv::Request> reqs,
+                               std::span<kv::Response> resps, IoStatsSnapshot* io,
+                               std::vector<IoStatsSnapshot>* shared_io) {
+  // (owning shard, request index) pairs sorted stably by shard, so within a
+  // shard the batch order is preserved and shards are visited in increasing
+  // order (the engine-wide deadlock-free latch order). One request needs no
+  // sort and no heap.
+  using Slot = std::pair<std::uint32_t, std::uint32_t>;
+  Slot single{static_cast<std::uint32_t>(ShardFor(reqs[0].key)), 0};
+  std::vector<Slot> many;
+  std::span<const Slot> order(&single, 1);
+  if (reqs.size() > 1) {
+    many.reserve(reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      many.emplace_back(static_cast<std::uint32_t>(ShardFor(reqs[i].key)),
+                        static_cast<std::uint32_t>(i));
+    }
+    std::stable_sort(many.begin(), many.end(),
+                     [](const Slot& a, const Slot& b) { return a.first < b.first; });
+    order = many;
+  }
+
+  // One telemetry record per call: a lone request is an op of its kind on
+  // its shard, anything larger is one `execute`.
+  const bool lone = reqs.size() == 1;
+  const char* span_name = "execute";
+  if (trace_ != nullptr && lone) span_name = kv::OpKindName(reqs[0].kind);
+  TraceRecorder::Scope span(trace_, span_name, "op", lone ? static_cast<int>(single.first) : -1);
   std::chrono::steady_clock::time_point start;
   if (metrics_ != nullptr) start = std::chrono::steady_clock::now();
 
-  // Stable partition by owning shard: one (shard, request-index) pair per
-  // request, sorted by shard only, so within a shard the batch order is
-  // preserved and shards are visited in increasing order (the engine-wide
-  // deadlock-free latch order).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
-  order.reserve(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    order.emplace_back(static_cast<std::uint32_t>(ShardFor(reqs[i].key)),
-                       static_cast<std::uint32_t>(i));
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
   Status first_failure;
-  std::vector<std::uint32_t> pending_scans;
   for (std::size_t g = 0; g < order.size();) {
     const std::uint32_t s = order[g].first;
     std::size_t end = g;
@@ -608,57 +374,39 @@ Status ShardedEngine::ExecuteBatch(kv::RequestBatch& batch, IoStatsSnapshot* io,
       has_write = has_write || kv::OpKindIsWrite(reqs[order[end].second].kind);
       ++end;
     }
-
-    // The whole group runs under ONE latch acquisition; each request still
-    // dispatches through kv::ExecuteOnIndex, the tree's single op switch.
-    const auto run_group = [&](DiskIndex* index) {
+    // The whole group runs under ONE latch acquisition -- exclusive if any
+    // request writes, so reads grouped with a write execute under the same
+    // guard and the writes' WAL appends tick the shared GroupCommitWindow
+    // together. Each request dispatches through kv::ExecuteOnIndex, the
+    // tree's single op switch.
+    const Status status = RunOnShard(s, has_write, io, shared_io, [&](DiskIndex* index) {
       for (std::size_t k = g; k < end; ++k) {
         const std::uint32_t i = order[k].second;
-        const Status status =
-            kv::ExecuteOnIndex(index, std::span<const kv::Request>(&reqs[i], 1),
-                               std::span<kv::Response>(&resps[i], 1));
-        if (first_failure.ok() && IsHardFailure(resps[i].code)) first_failure = status;
+        const Status op_status = kv::ExecuteOnIndex(index, reqs.subspan(i, 1), resps.subspan(i, 1));
+        if (first_failure.ok() && !op_status.ok()) first_failure = op_status;
         if (metrics_ != nullptr) CountOp(s, reqs[i].kind, reqs[i].key);
       }
       return Status::Ok();
-    };
-
-    if (has_write) {
-      // Any write in the group takes the shard exclusively for the whole
-      // group -- reads grouped with it execute under the same guard, and the
-      // writes' WAL appends tick the shared GroupCommitWindow so a batch of
-      // writes group-commits together.
-      Shard& shard = *shards_[s];
-      WriteGuard guard(shard);
-      const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-      run_group(shard.index.get());
-      if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-    } else {
-      const Status status = ReadOnShard(s, io, shared_io, run_group);
-      if (first_failure.ok() && !status.ok()) first_failure = status;
-    }
-
-    // Scans whose home-shard segment came up short continue across later
-    // shards after the partitioned pass (so they observe this batch's writes
-    // to those shards -- documented batch-visibility order).
-    for (std::size_t k = g; k < end; ++k) {
-      const std::uint32_t i = order[k].second;
-      if (reqs[i].kind == kv::OpKind::kScan && resps[i].code == Status::Code::kOk &&
-          resps[i].records.size() < reqs[i].scan_count &&
-          s + 1 < shards_.size()) {
-        pending_scans.push_back(i);
-      }
-    }
+    });
+    if (first_failure.ok() && !status.ok()) first_failure = status;
     g = end;
   }
 
-  for (const std::uint32_t i : pending_scans) {
-    const Status status =
-        ContinueScan(ShardFor(reqs[i].key), reqs[i], &resps[i], io, shared_io);
-    if (first_failure.ok() && !status.ok()) first_failure = status;
+  // Scans whose home-shard segment came up short continue across later
+  // shards after the partitioned pass (so they observe this batch's writes
+  // to those shards -- documented batch-visibility order).
+  for (const auto& [s, i] : order) {
+    if (reqs[i].kind == kv::OpKind::kScan && resps[i].code == Status::Code::kOk &&
+        resps[i].records.size() < reqs[i].scan_count && s + 1 < shards_.size()) {
+      const Status status = ContinueScan(s, reqs[i], &resps[i], io, shared_io);
+      if (first_failure.ok() && !status.ok()) first_failure = status;
+    }
   }
 
-  if (metrics_ != nullptr) metrics_->Observe(execute_us_id_, ElapsedUs(start));
+  if (metrics_ != nullptr) {
+    const auto kind = static_cast<std::size_t>(reqs[0].kind);
+    metrics_->Observe(lone ? op_us_ids_[kind] : execute_us_id_, ElapsedUs(start));
+  }
   return first_failure;
 }
 
@@ -667,13 +415,7 @@ Status ShardedEngine::Execute(kv::RequestBatch& batch, IoStatsSnapshot* io,
   LIOD_RETURN_IF_ERROR(CheckReady());
   batch.responses.resize(batch.requests.size());
   if (batch.requests.empty()) return Status::Ok();
-  if (batch.requests.size() == 1) {
-    // Single-request fast path: no partitioning scratch, no batch span --
-    // identical code to the historical per-op methods. Both runners drive
-    // this path, which is what keeps the pre-redesign I/O pins bit-exact.
-    return ExecuteSingle(batch.requests[0], &batch.responses[0], io, shared_io, nullptr);
-  }
-  return ExecuteBatch(batch, io, shared_io);
+  return Dispatch(batch.requests, batch.responses, io, shared_io);
 }
 
 Status ShardedEngine::Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io,
@@ -681,7 +423,7 @@ Status ShardedEngine::Lookup(Key key, Payload* payload, bool* found, IoStatsSnap
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kLookup, key, 0, 0};
   kv::Response resp;
-  const Status status = ExecuteSingle(req, &resp, io, shared_io, nullptr);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, shared_io);
   if (payload != nullptr && resp.found) *payload = resp.payload;
   if (found != nullptr) *found = resp.found;
   return status;
@@ -691,14 +433,14 @@ Status ShardedEngine::Insert(Key key, Payload payload, IoStatsSnapshot* io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kInsert, key, payload, 0};
   kv::Response resp;
-  return ExecuteSingle(req, &resp, io, nullptr, nullptr);
+  return Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
 }
 
 Status ShardedEngine::Delete(Key key, IoStatsSnapshot* io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kDelete, key, 0, 0};
   kv::Response resp;
-  return ExecuteSingle(req, &resp, io, nullptr, nullptr);
+  return Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
 }
 
 Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
@@ -706,7 +448,7 @@ Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kReadModifyWrite, key, payload, 0};
   kv::Response resp;
-  const Status status = ExecuteSingle(req, &resp, io, nullptr, nullptr);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
   if (found != nullptr) *found = resp.found;
   return status;
 }
@@ -714,15 +456,21 @@ Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
 Status ShardedEngine::Scan(Key start_key, std::size_t count, std::vector<Record>* out,
                            IoStatsSnapshot* io, std::vector<IoStatsSnapshot>* shared_io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
-  kv::Request req{kv::OpKind::kScan, start_key, 0, static_cast<std::uint32_t>(count)};
-  kv::Response resp;
   if (count == 0) {
     // Historical contract: a zero-length engine scan clears `out` and
     // succeeds (only the wire/batch surface rejects it).
     out->clear();
     return Status::Ok();
   }
-  return ExecuteSingle(req, &resp, io, shared_io, out);
+  const kv::Request req{kv::OpKind::kScan, start_key, 0,
+                        static_cast<std::uint32_t>(std::min<std::size_t>(
+                            count, std::numeric_limits<std::uint32_t>::max()))};
+  // The response borrows the caller's vector, so its capacity is reused.
+  kv::Response resp;
+  resp.records.swap(*out);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, shared_io);
+  out->swap(resp.records);
+  return status;
 }
 
 Status ShardedEngine::DropCaches() {
@@ -735,7 +483,7 @@ Status ShardedEngine::DropCaches() {
 Status ShardedEngine::FlushBuffers() {
   LIOD_RETURN_IF_ERROR(CheckReady());
   for (auto& shard : shards_) {
-    WriteGuard guard(*shard);
+    std::lock_guard<std::shared_mutex> lock(shard->mu);
     LIOD_RETURN_IF_ERROR(shard->index->FlushBuffers());
   }
   return Status::Ok();
@@ -744,7 +492,7 @@ Status ShardedEngine::FlushBuffers() {
 Status ShardedEngine::FlushUpdates() {
   LIOD_RETURN_IF_ERROR(CheckReady());
   for (auto& shard : shards_) {
-    WriteGuard guard(*shard);
+    std::lock_guard<std::shared_mutex> lock(shard->mu);
     LIOD_RETURN_IF_ERROR(shard->index->FlushUpdates());
   }
   return Status::Ok();

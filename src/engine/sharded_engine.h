@@ -1,7 +1,7 @@
 #ifndef LIOD_ENGINE_SHARDED_ENGINE_H_
 #define LIOD_ENGINE_SHARDED_ENGINE_H_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
@@ -37,19 +37,10 @@ struct EngineOptions {
   /// always hold the shard exclusively. kExclusive (default) keeps the
   /// historical one-mutex-per-shard behavior, including bit-exact per-op
   /// snapshot-delta I/O attribution. kShared lets any number of Lookup/Scan
-  /// run in parallel on one shard under a reader/writer latch. kOptimistic
-  /// additionally validates a per-shard version counter and only
-  /// try-acquires the latch, counting failed validations as
-  /// optimistic_retries before falling back to a blocking shared
-  /// acquisition. All three modes perform identical counted I/O for the
-  /// same op sequence -- retries happen before the operation executes, so
-  /// only timing (and the modeled makespan) differs.
+  /// run in parallel on one shard under a reader/writer latch. Both modes
+  /// perform identical counted I/O for the same op sequence; only timing
+  /// (and the modeled makespan) differs.
   ShardLockMode shard_lock_mode = ShardLockMode::kExclusive;
-
-  /// kOptimistic only: failed optimistic read attempts before the reader
-  /// gives up and blocks on a shared acquisition (counted as one
-  /// read_lock_wait). Must be >= 1.
-  std::size_t optimistic_retry_limit = 3;
 
   /// Durable storage for the shards' WAL/checkpoint files when
   /// index.durability != kNone: shard i logs to slot i (per-shard WALs).
@@ -131,7 +122,7 @@ class ShardedEngine {
   Status RecoverFrom(DurableStore* store, std::span<const Record> records,
                      RecoverySummary* summary = nullptr);
 
-  /// THE batch entry point -- the one op-dispatch path of the tree. Resizes
+  /// THE entry point -- the one op-dispatch path of the tree. Resizes
   /// batch.responses to batch.requests, partitions the requests by owning
   /// shard, visits shards in increasing order (the engine-wide deadlock-free
   /// latch order), and takes each shard's latch ONCE per batch: exclusively
@@ -141,7 +132,8 @@ class ShardedEngine {
   /// execute in batch order; across shards, shard order wins (documented
   /// relaxation -- single-request batches are unaffected, and both runners
   /// drive batch size 1, which keeps their op interleaving and counted I/O
-  /// bit-exact with the historical per-op calls).
+  /// bit-exact with the historical per-op calls). A one-request batch
+  /// allocates no scratch.
   ///
   /// Scans that exhaust their home shard continue across subsequent shards
   /// after the partitioned pass, one latch at a time (the same relaxed
@@ -153,18 +145,22 @@ class ShardedEngine {
   /// hard failure, in which case the first such failure is returned after
   /// the batch completes. `io`/`shared_io` accumulate the batch's exact
   /// counted I/O as documented on Lookup.
+  ///
+  /// Telemetry is recorded once per call: a one-request batch is an op
+  /// (`engine.<kind>_us` histogram, `<kind>` span tagged with the owning
+  /// shard), a larger batch is one `engine.execute_us` sample and one
+  /// `execute` span. `shard<i>.ops.<kind>` counts every request either way.
   Status Execute(kv::RequestBatch& batch, IoStatsSnapshot* io = nullptr,
                  std::vector<IoStatsSnapshot>* shared_io = nullptr);
 
-  // The per-op methods below are thin wrappers that build a single-request
-  // batch and run it through the same dispatch as Execute -- kept because
-  // "look up one key" deserves a signature, not because they are a second
-  // path.
+  // The per-op methods below are thin wrappers that run a single-request
+  // batch through Execute's dispatch -- kept because "look up one key"
+  // deserves a signature, not because they are a second path.
 
   /// Point lookup on the owning shard. When `io` is non-null, the exact
   /// block I/O this call performed is accumulated into it (per-thread I/O
   /// attribution for the concurrent runner): snapshot-delta under the
-  /// exclusive mode, thread-exact tally under shared/optimistic. When
+  /// exclusive mode, thread-exact tally under shared. When
   /// `shared_io` is non-null and the op ran under a SHARED latch, the same
   /// delta is also accumulated into (*shared_io)[owning shard] (resized to
   /// num_shards() as needed) -- the makespan model needs to know which I/O
@@ -186,7 +182,8 @@ class ShardedEngine {
                          IoStatsSnapshot* io = nullptr);
 
   /// Range scan from `start_key` (or its successor) for up to `count`
-  /// records, continuing across shard boundaries until satisfied. See the
+  /// records, continuing across shard boundaries until satisfied. A count
+  /// above UINT32_MAX (the request's scan_count) saturates there. See the
   /// class comment for the (relaxed) cross-shard consistency guarantee.
   Status Scan(Key start_key, std::size_t count, std::vector<Record>* out,
               IoStatsSnapshot* io = nullptr,
@@ -239,74 +236,43 @@ class ShardedEngine {
  private:
   struct Shard {
     std::unique_ptr<DiskIndex> index;
-    /// Reader/writer latch. The exclusive mode takes it exclusively for
-    /// every op, degenerating to the historical per-shard mutex.
+    /// Reader/writer latch: writers and the exclusive mode take it
+    /// exclusively, shared-mode reads take it shared.
     mutable std::shared_mutex mu;
-    /// Optimistic-read validation word, seqlock-style: odd while a writer
-    /// holds the latch, even when quiescent; bumped (release) on writer
-    /// entry and exit. Readers load-acquire it, but the latch -- not the
-    /// counter -- provides the actual happens-before for the data: an
-    /// optimistic read still executes under a try-acquired shared latch, so
-    /// the version is purely a conflict signal, never a correctness fence.
-    std::atomic<std::uint64_t> version{0};
   };
 
-  /// Exclusive section over one shard: latch + version bump around it.
-  class WriteGuard {
-   public:
-    explicit WriteGuard(Shard& shard) : shard_(shard) {
-      shard_.mu.lock();
-      shard_.version.fetch_add(1, std::memory_order_release);  // odd: writer in
-    }
-    ~WriteGuard() {
-      shard_.version.fetch_add(1, std::memory_order_release);  // even: quiescent
-      shard_.mu.unlock();
-    }
-    WriteGuard(const WriteGuard&) = delete;
-    WriteGuard& operator=(const WriteGuard&) = delete;
+  /// The set-up Bulkload and RecoverFrom share: checks that `records` is
+  /// sorted, fixes the shard count and the cut points (shard i owns
+  /// records[(*cuts)[i], (*cuts)[i+1]) and lower_bounds_), and returns the
+  /// per-shard options template in `shard_options`, wired to the cross-shard
+  /// buffer manager and group-commit window when configured.
+  Status PlanShards(std::span<const Record> records, std::vector<std::size_t>* cuts,
+                    IndexOptions* shard_options);
+  /// Undoes a failed Bulkload/RecoverFrom, so it never leaves a half-built
+  /// engine looking ready.
+  void ResetShards();
 
-   private:
-    Shard& shard_;
-  };
-
-  /// Runs read-only `op` (invocable with DiskIndex*) on shard `s` under the
-  /// configured lock mode, attributing its I/O to `io`/`shared_io` as
-  /// documented on Lookup. Defined in the .cc; all instantiations live
-  /// there.
+  /// Dispatches `reqs` into `resps` (equal length, non-empty): the body of
+  /// Execute, also driven by the per-op wrappers with one stack request.
+  Status Dispatch(std::span<const kv::Request> reqs, std::span<kv::Response> resps,
+                  IoStatsSnapshot* io, std::vector<IoStatsSnapshot>* shared_io);
+  /// Runs `op` (invocable with DiskIndex*) on shard `s` under its latch --
+  /// exclusively when `write` or in the exclusive mode, shared otherwise --
+  /// attributing its I/O to `io`/`shared_io` as documented on Lookup.
+  /// Defined in the .cc; all instantiations live there.
   template <typename Op>
-  Status ReadOnShard(std::size_t s, IoStatsSnapshot* io,
-                     std::vector<IoStatsSnapshot>* shared_io, const Op& op);
-  /// `op` under an already-held shared latch, with the thread tally
-  /// installed.
-  template <typename Op>
-  Status RunSharedLocked(std::size_t s, IoStatsSnapshot* io,
-                         std::vector<IoStatsSnapshot>* shared_io, const Op& op);
-
-  /// Contended path of the shared/optimistic read modes: counts the wait
-  /// (IoStats + telemetry lock-wait counter/histogram/span) around the
-  /// blocking shared acquisition. The caller adopts the latch.
+  Status RunOnShard(std::size_t s, bool write, IoStatsSnapshot* io,
+                    std::vector<IoStatsSnapshot>* shared_io, const Op& op);
+  /// Contended path of the shared read mode: counts the wait (IoStats +
+  /// telemetry lock-wait counter/histogram/span) around the blocking shared
+  /// acquisition. The caller adopts the latch.
   void BlockingSharedAcquire(std::size_t s, Shard& shard);
-
-  /// Dispatches ONE request under the owning shard's latch with the
-  /// historical per-op telemetry and I/O attribution. Scan results go to
-  /// `scan_dest` when non-null (the Scan wrapper's caller-owned vector),
-  /// resp->records otherwise.
-  Status ExecuteSingle(const kv::Request& req, kv::Response* resp, IoStatsSnapshot* io,
-                       std::vector<IoStatsSnapshot>* shared_io,
-                       std::vector<Record>* scan_dest);
-  /// Multi-request path of Execute: shard-partitioned groups, one latch
-  /// acquisition per group, scan continuations after the partitioned pass.
-  Status ExecuteBatch(kv::RequestBatch& batch, IoStatsSnapshot* io,
-                      std::vector<IoStatsSnapshot>* shared_io);
   /// Continues a scan whose home-shard segment came up short across shards
   /// > `home`, one latch at a time (the relaxed cross-shard guarantee).
   Status ContinueScan(std::size_t home, const kv::Request& req, kv::Response* resp,
                       IoStatsSnapshot* io, std::vector<IoStatsSnapshot>* shared_io);
   /// Bumps the per-shard op counter for `kind` and feeds the shard's heat
-  /// tracker with `key` (metrics_ must be non-null). The ONE accounting
-  /// funnel of the instrumented execution path: every op site already inside
-  /// a metrics_ != nullptr branch calls this, so heat tracking inherits the
-  /// off-path guarantee for free.
+  /// tracker with `key` (metrics_ must be non-null).
   void CountOp(std::size_t s, kv::OpKind kind, Key key);
 
   /// Caches the telemetry escape hatches from options_.index and registers
@@ -320,12 +286,8 @@ class ShardedEngine {
   /// Per-shard telemetry metric ids (shard_metric_ids_[s]), resolved once in
   /// RegisterTelemetry so hot paths never touch the registry's name maps.
   struct ShardMetricIds {
-    std::size_t lookups = 0;     ///< counter: shard<s>.ops.lookup
-    std::size_t inserts = 0;     ///< counter: shard<s>.ops.insert
-    std::size_t deletes = 0;     ///< counter: shard<s>.ops.delete
-    std::size_t rmws = 0;        ///< counter: shard<s>.ops.rmw
-    std::size_t scans = 0;       ///< counter: shard<s>.ops.scan
-    std::size_t lock_waits = 0;  ///< counter: shard<s>.lock_waits
+    std::array<std::size_t, kv::kNumOpKinds> ops{};  ///< counters: shard<s>.ops.<kind>
+    std::size_t lock_waits = 0;                      ///< counter: shard<s>.lock_waits
   };
 
   EngineOptions options_;
@@ -345,12 +307,9 @@ class ShardedEngine {
   MetricRegistry* metrics_ = nullptr;  ///< cached from options_.index.metrics
   TraceRecorder* trace_ = nullptr;     ///< cached from options_.index.trace
   std::vector<ShardMetricIds> shard_metric_ids_;
-  /// Engine-level latency histograms (whole op including shard latching).
-  std::size_t lookup_us_id_ = 0;     ///< engine.lookup_us
-  std::size_t insert_us_id_ = 0;     ///< engine.insert_us
-  std::size_t delete_us_id_ = 0;     ///< engine.delete_us
-  std::size_t rmw_us_id_ = 0;        ///< engine.rmw_us
-  std::size_t scan_us_id_ = 0;       ///< engine.scan_us
+  /// Engine-level latency histograms (whole call including shard latching):
+  /// engine.<kind>_us per op kind, recorded by one-request calls.
+  std::array<std::size_t, kv::kNumOpKinds> op_us_ids_{};
   std::size_t execute_us_id_ = 0;    ///< engine.execute_us (multi-request batches)
   std::size_t lock_wait_us_id_ = 0;  ///< engine.lock_wait_us
   /// Per-shard heat trackers (empty unless metrics attached and heat_top_k >

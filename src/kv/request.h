@@ -1,6 +1,7 @@
 #ifndef LIOD_KV_REQUEST_H_
 #define LIOD_KV_REQUEST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,9 @@ enum class OpKind : std::uint8_t {
   kScan = 3,             ///< range scan of up to scan_count records from key
   kReadModifyWrite = 4,  ///< YCSB-F: read current value, then upsert payload
 };
+
+/// Number of OpKind values (they are dense from 0): sizes per-kind tables.
+inline constexpr std::size_t kNumOpKinds = static_cast<std::size_t>(OpKind::kReadModifyWrite) + 1;
 
 /// Stable display name ("lookup", ...); "unknown" for invalid values.
 const char* OpKindName(OpKind kind);

@@ -61,7 +61,6 @@ IoStatsSnapshot IoStatsSnapshot::operator-(const IoStatsSnapshot& rhs) const {
   out.inner_nodes_visited = inner_nodes_visited - rhs.inner_nodes_visited;
   out.leaf_nodes_visited = leaf_nodes_visited - rhs.leaf_nodes_visited;
   out.read_lock_waits = read_lock_waits - rhs.read_lock_waits;
-  out.optimistic_retries = optimistic_retries - rhs.optimistic_retries;
   return out;
 }
 
@@ -77,7 +76,6 @@ IoStatsSnapshot& IoStatsSnapshot::operator+=(const IoStatsSnapshot& rhs) {
   inner_nodes_visited += rhs.inner_nodes_visited;
   leaf_nodes_visited += rhs.leaf_nodes_visited;
   read_lock_waits += rhs.read_lock_waits;
-  optimistic_retries += rhs.optimistic_retries;
   return *this;
 }
 
@@ -100,7 +98,7 @@ std::string IoStatsSnapshot::ToString() const {
   os << " ";
   per_class("misses", buffer_misses);
   os << " nodes{inner=" << inner_nodes_visited << ",leaf=" << leaf_nodes_visited << "}";
-  os << " locks{waits=" << read_lock_waits << ",retries=" << optimistic_retries << "}";
+  os << " locks{waits=" << read_lock_waits << "}";
   return os.str();
 }
 
@@ -119,7 +117,6 @@ IoStatsSnapshot IoStats::snapshot() const {
   out.inner_nodes_visited = inner_nodes_visited_.load(std::memory_order_relaxed);
   out.leaf_nodes_visited = leaf_nodes_visited_.load(std::memory_order_relaxed);
   out.read_lock_waits = read_lock_waits_.load(std::memory_order_relaxed);
-  out.optimistic_retries = optimistic_retries_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -135,7 +132,6 @@ void IoStats::Reset() {
   inner_nodes_visited_.store(0, std::memory_order_relaxed);
   leaf_nodes_visited_.store(0, std::memory_order_relaxed);
   read_lock_waits_.store(0, std::memory_order_relaxed);
-  optimistic_retries_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace liod

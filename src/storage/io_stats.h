@@ -37,12 +37,11 @@ struct IoStatsSnapshot {
   std::uint64_t inner_nodes_visited = 0;
   std::uint64_t leaf_nodes_visited = 0;
   /// Shard-lock contention, bumped by the engine's read path only in the
-  /// shared/optimistic lock modes (always 0 under the default exclusive
-  /// mode, so exclusive-mode snapshot pins stay bit-exact). Timing-dependent:
-  /// two runs of the same tape may count differently. Not device I/O -- the
-  /// disk model ignores both.
-  std::uint64_t read_lock_waits = 0;    ///< blocking shared acquisitions after contention
-  std::uint64_t optimistic_retries = 0; ///< optimistic read validations that failed
+  /// shared lock mode (always 0 under the default exclusive mode, so
+  /// exclusive-mode snapshot pins stay bit-exact). Timing-dependent: two
+  /// runs of the same tape may count differently. Not device I/O -- the
+  /// disk model ignores it.
+  std::uint64_t read_lock_waits = 0;  ///< blocking shared acquisitions after contention
 
   std::uint64_t TotalReads() const;
   std::uint64_t TotalWrites() const;
@@ -98,7 +97,7 @@ class IoStats {
   ///
   /// Why it exists: the engine's historical per-op attribution is a
   /// snapshot delta around the operation, which is exact only while the
-  /// shard lock is exclusive. Under shared/optimistic locking, parallel
+  /// shard lock is exclusive. Under shared locking, parallel
   /// readers on one shard would each see the others' bumps inside their own
   /// delta and double-count. The tally routes each bump to exactly the
   /// thread that performed it. Bumps to OTHER IoStats instances (e.g. a
@@ -108,9 +107,8 @@ class IoStats {
   /// Nests as a tee: the active tallies form a per-thread stack, and a bump
   /// is added to EVERY frame whose target matches, so an outer tally (the
   /// engine's per-op attribution) and an inner one (a PhaseScope inside the
-  /// op) both see it. Lock-contention counters (read_lock_waits,
-  /// optimistic_retries) are never tallied -- they describe the lock, not
-  /// the operation.
+  /// op) both see it. The lock-contention counter (read_lock_waits) is
+  /// never tallied -- it describes the lock, not the operation.
   class ThreadTally {
    public:
     ThreadTally(const IoStats* target, IoStatsSnapshot* sink)
@@ -153,11 +151,8 @@ class IoStats {
       if (t->target_ == this) ++t->sink_->leaf_nodes_visited;
     }
   }
-  /// Engine read path, shared/optimistic modes only (see IoStatsSnapshot).
+  /// Engine read path, shared mode only (see IoStatsSnapshot).
   void CountReadLockWait() { read_lock_waits_.fetch_add(1, std::memory_order_relaxed); }
-  void CountOptimisticRetry() {
-    optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   IoStatsSnapshot snapshot() const;
   void Reset();
@@ -183,7 +178,6 @@ class IoStats {
   std::atomic<std::uint64_t> inner_nodes_visited_{0};
   std::atomic<std::uint64_t> leaf_nodes_visited_{0};
   std::atomic<std::uint64_t> read_lock_waits_{0};
-  std::atomic<std::uint64_t> optimistic_retries_{0};
 };
 
 }  // namespace liod

@@ -72,7 +72,7 @@ namespace liod {
 /// only their own shard's operations, not other shards'). Read-only
 /// operations (Lookup/Scan/GetIndexStats/introspection) hold it shared and
 /// may run in parallel with each other -- the const-safe read path the
-/// engine's shared/optimistic shard-lock modes rely on: a lookup mutates
+/// engine's shared shard-lock mode relies on: a lookup mutates
 /// nothing (staging map, spilled-run probes, and overlay are all read-only;
 /// spill-file block reads are latched inside the buffer manager).
 class UpdateBufferedIndex : public DiskIndex {

@@ -1,6 +1,7 @@
 #include "workload/workloads.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "common/random.h"
@@ -357,7 +358,8 @@ kv::Request ToRequest(const WorkloadOp& op, std::size_t scan_length) {
       break;
     case WorkloadOp::Kind::kScan:
       req.kind = kv::OpKind::kScan;
-      req.scan_count = static_cast<std::uint32_t>(scan_length);
+      req.scan_count = static_cast<std::uint32_t>(
+          std::min<std::size_t>(scan_length, std::numeric_limits<std::uint32_t>::max()));
       break;
     case WorkloadOp::Kind::kReadModifyWrite:
       req.kind = kv::OpKind::kReadModifyWrite;

@@ -107,8 +107,9 @@ ConcurrentWorkload BuildConcurrentWorkload(const std::vector<Key>& dataset_keys,
                                            std::size_t num_threads);
 
 /// The kv::Request equivalent of one workload op (scans carry the workload's
-/// scan_length). Both runners translate their tapes through this, so the
-/// tape vocabulary and the unified KV vocabulary cannot drift apart.
+/// scan_length, saturated at UINT32_MAX). Both runners translate their tapes
+/// through this, so the tape vocabulary and the unified KV vocabulary cannot
+/// drift apart.
 kv::Request ToRequest(const WorkloadOp& op, std::size_t scan_length);
 
 }  // namespace liod

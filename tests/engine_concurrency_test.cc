@@ -1,9 +1,9 @@
-// Parallel shard read path (engine/sharded_engine.h): the three
+// Parallel shard read path (engine/sharded_engine.h): the two
 // EngineOptions::shard_lock_mode settings under real thread races. The
 // stress suites are TSan targets -- N reader threads race one writer and a
 // background merger per shard across index families, asserting every lookup
 // returns the pre- or the post-insert answer (linearizability-lite). The
-// determinism suites pin that shared/optimistic modes count exactly the
+// determinism suites pin that the shared mode counts exactly the
 // I/O the exclusive mode counts, and the model suite pins the lock-mode-
 // aware makespan bound of the concurrent runner.
 
@@ -47,8 +47,7 @@ EngineOptions SmallEngineOptions(const std::string& index_name, std::size_t shar
 // --- mode plumbing ----------------------------------------------------------
 
 TEST(ShardLockModeTest, NamesRoundTripAndUnknownIsRejected) {
-  for (ShardLockMode mode : {ShardLockMode::kExclusive, ShardLockMode::kShared,
-                             ShardLockMode::kOptimistic}) {
+  for (ShardLockMode mode : {ShardLockMode::kExclusive, ShardLockMode::kShared}) {
     ShardLockMode parsed;
     ASSERT_TRUE(ShardLockModeFromName(ShardLockModeName(mode), &parsed));
     EXPECT_EQ(parsed, mode);
@@ -138,15 +137,13 @@ TEST_P(EngineConcurrencyStressTest, ReadersSeePreOrPostInsertAnswers) {
   if (mode == ShardLockMode::kExclusive) {
     const IoStatsSnapshot merged = engine.MergedIo();
     EXPECT_EQ(merged.read_lock_waits, 0u);
-    EXPECT_EQ(merged.optimistic_retries, 0u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     IndexesByMode, EngineConcurrencyStressTest,
     ::testing::Combine(::testing::Values("btree", "alex", "pgm", "hybrid-pgm"),
-                       ::testing::Values(ShardLockMode::kExclusive, ShardLockMode::kShared,
-                                         ShardLockMode::kOptimistic)),
+                       ::testing::Values(ShardLockMode::kExclusive, ShardLockMode::kShared)),
     [](const ::testing::TestParamInfo<StressParam>& param) {
       std::string name = std::get<0>(param.param) + "_" +
                          ShardLockModeName(std::get<1>(param.param));
@@ -154,7 +151,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// --- determinism: shared/optimistic count exactly what exclusive counts -----
+// --- determinism: shared counts exactly what exclusive counts ---------------
 
 void ExpectSameCountedIo(const IoStatsSnapshot& got, const IoStatsSnapshot& want,
                          const std::string& label) {
@@ -192,7 +189,7 @@ TEST(EngineConcurrencyDeterminismTest, AllModesMatchExclusiveOnYcsbBTape) {
     ShardedEngine engine(SmallEngineOptions("btree", 2, ShardLockMode::kExclusive));
     ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &exclusive).ok());
   }
-  for (ShardLockMode mode : {ShardLockMode::kShared, ShardLockMode::kOptimistic}) {
+  for (ShardLockMode mode : {ShardLockMode::kShared}) {
     ShardedEngine engine(SmallEngineOptions("btree", 2, mode));
     ConcurrentRunResult result;
     ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
@@ -203,7 +200,6 @@ TEST(EngineConcurrencyDeterminismTest, AllModesMatchExclusiveOnYcsbBTape) {
     // A single thread never contends, so even the timing-dependent counters
     // are exactly zero here.
     EXPECT_EQ(result.io.read_lock_waits, 0u) << ShardLockModeName(mode);
-    EXPECT_EQ(result.io.optimistic_retries, 0u) << ShardLockModeName(mode);
   }
 }
 
@@ -223,8 +219,7 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
   config.check_lookups = true;
   IoStatsSnapshot reference;
   bool have_reference = false;
-  for (ShardLockMode mode : {ShardLockMode::kExclusive, ShardLockMode::kShared,
-                             ShardLockMode::kOptimistic}) {
+  for (ShardLockMode mode : {ShardLockMode::kExclusive, ShardLockMode::kShared}) {
     EngineOptions options = SmallEngineOptions("btree", 2, mode);
     options.index.buffer_pool_blocks = 4096;  // nothing ever evicts
     ShardedEngine engine(options);
@@ -232,7 +227,7 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
     ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
     EXPECT_EQ(result.operations, spec.operations);
     // Thread-exact attribution must cover the merged op-phase I/O exactly
-    // in every mode (tally under shared/optimistic, snapshot-delta under
+    // in every mode (tally under shared, snapshot-delta under
     // exclusive).
     IoStatsSnapshot summed;
     for (const ThreadRunResult& t : result.threads) summed += t.io;
@@ -245,7 +240,6 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
     }
     if (mode == ShardLockMode::kExclusive) {
       EXPECT_EQ(result.io.read_lock_waits, 0u);
-      EXPECT_EQ(result.io.optimistic_retries, 0u);
       // Exclusive mode never runs anything under a shared latch.
       for (const ThreadRunResult& t : result.threads) {
         for (const IoStatsSnapshot& s : t.shared_io) {
@@ -253,7 +247,7 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
         }
       }
     } else {
-      // Shared/optimistic: every read-side block fetch happened under the
+      // Shared: every read-side block fetch happened under the
       // shared latch, so the tallied shared I/O covers all thread reads.
       IoStatsSnapshot shared_total;
       for (const ThreadRunResult& t : result.threads) {
@@ -298,11 +292,6 @@ TEST(EngineConcurrencyModelTest, SharedModeShardBoundOverlapsReaders) {
   IoStatsSnapshot exclusive_part = reads(200);
   EXPECT_DOUBLE_EQ(result.MakespanUs(ssd),
                    ssd.IoMicros(exclusive_part) + ssd.IoMicros(reads(600)));
-
-  // Optimistic models reads the same way as shared.
-  result.lock_mode = ShardLockMode::kOptimistic;
-  EXPECT_DOUBLE_EQ(result.MakespanUs(ssd),
-                   ssd.IoMicros(exclusive_part) + ssd.IoMicros(reads(600)));
 }
 
 TEST(EngineConcurrencyModelTest, ReadScalingEmergesWithSharedLocking) {
@@ -331,16 +320,12 @@ TEST(EngineConcurrencyModelTest, ReadScalingEmergesWithSharedLocking) {
   const double shared_us = result.MakespanUs(ssd);
   result.lock_mode = ShardLockMode::kExclusive;
   const double exclusive_us = result.MakespanUs(ssd);
-  result.lock_mode = ShardLockMode::kOptimistic;
-  const double optimistic_us = result.MakespanUs(ssd);
 
   // Read-only: the whole shard drains through overlapped readers, so the
   // shared bound must beat the serialized exclusive bound by well over the
   // CI gate's 3x (8 roughly even tapes -> ~8x in the limit).
   EXPECT_GT(shared_us, 0.0);
   EXPECT_GT(exclusive_us / shared_us, 3.0);
-  // Optimistic reads overlap exactly like shared ones in the model.
-  EXPECT_DOUBLE_EQ(optimistic_us, shared_us);
 }
 
 // --- cross-shard scan stitching under races ---------------------------------
@@ -398,9 +383,7 @@ TEST_P(EngineConcurrencyScanTest, CrossShardScanPinsRelaxedGuarantee) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, EngineConcurrencyScanTest,
-                         ::testing::Values(ShardLockMode::kExclusive,
-                                           ShardLockMode::kShared,
-                                           ShardLockMode::kOptimistic),
+                         ::testing::Values(ShardLockMode::kExclusive, ShardLockMode::kShared),
                          [](const ::testing::TestParamInfo<ShardLockMode>& param) {
                            return std::string(ShardLockModeName(param.param));
                          });

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "kv/request.h"
 #include "recovery/durable_store.h"
 #include "test_util.h"
+#include "workload/workloads.h"
 
 namespace liod {
 namespace {
@@ -302,6 +304,26 @@ TEST(EngineExecuteTest, CrossShardScanStitchesInBatch) {
   ASSERT_TRUE(engine.Scan(keys[240], 40, &out).ok());
   ASSERT_EQ(out.size(), 40u);
   EXPECT_TRUE(std::equal(out.begin(), out.end(), batch.responses[0].records.begin()));
+}
+
+TEST(EngineExecuteTest, OversizedScanCountSaturates) {
+  // The request carries a 32-bit scan_count; a larger std::size_t count must
+  // saturate, not wrap (2^32 + 5 would read 5 records, 2^32 would read 0 and
+  // be rejected).
+  const auto keys = testing_util::SequentialKeys(100);
+  ShardedEngine engine(SmallEngine(2));
+  ASSERT_TRUE(engine.Bulkload(ToRecords(keys)).ok());
+  std::vector<Record> out;
+  for (const std::size_t count : {(std::size_t{1} << 32) + 5, std::size_t{1} << 32}) {
+    ASSERT_TRUE(engine.Scan(keys[10], count, &out).ok()) << count;
+    ASSERT_EQ(out.size(), 90u) << count;  // every key from keys[10], both shards
+    EXPECT_EQ(out.front().key, keys[10]);
+    EXPECT_EQ(out.back().key, keys[99]);
+  }
+  // The workload tape's translation saturates the same way.
+  const WorkloadOp scan{WorkloadOp::Kind::kScan, keys[0], 0};
+  EXPECT_EQ(ToRequest(scan, (std::size_t{1} << 32) + 5).scan_count,
+            std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(EngineExecuteTest, DeleteRoundTripWithUpdateBuffer) {

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "core/op_breakdown.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
+#include "kv/request.h"
 #include "storage/disk_model.h"
 #include "storage/io_stats.h"
 #include "telemetry/metric_registry.h"
@@ -544,6 +547,105 @@ TEST(TelemetryEngineTest, InstrumentedRunEmitsEverySpanKindAndConsistentCounters
        {"\"name\":\"lookup\"", "\"name\":\"insert\"", "\"name\":\"merge.drain\"",
         "\"name\":\"wal.force\"", "\"name\":\"checkpoint\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << "missing span " << needle;
+  }
+}
+
+/// One exported op-category span: its name and shard tag (-1 = untagged).
+struct OpSpan {
+  std::string name;
+  int shard;
+};
+
+std::vector<OpSpan> OpSpans(const std::string& chrome_json) {
+  static const std::regex kEvent(
+      R"re(\{"name":"([^"]*)","cat":"op"[^{}]*?(?:"args":\{"shard":(\d+)\})?\})re");
+  std::vector<OpSpan> spans;
+  for (auto it = std::sregex_iterator(chrome_json.begin(), chrome_json.end(), kEvent);
+       it != std::sregex_iterator(); ++it) {
+    spans.push_back({(*it)[1].str(), (*it)[2].matched ? std::stoi((*it)[2].str()) : -1});
+  }
+  return spans;
+}
+
+TEST(TelemetryEngineTest, EachExecuteCallRecordsOneSampleAndOneSpan) {
+  MetricRegistry registry;
+  TraceRecorder trace;
+  EngineOptions options;
+  options.index_name = "btree";
+  options.num_shards = 2;
+  options.index.update_buffer_blocks = 4;  // enables Delete
+  options.index.metrics = &registry;
+  options.index.trace = &trace;
+  ShardedEngine engine(options);
+  const std::vector<Key> keys = UniformKeys(1000, 31);
+  ASSERT_TRUE(engine.Bulkload(ToRecords(keys)).ok());
+  const Key low = keys[100];
+  const Key high = keys[900];
+  ASSERT_EQ(engine.ShardFor(low), 0u);
+  ASSERT_EQ(engine.ShardFor(high), 1u);
+
+  std::map<std::string, std::uint64_t> expected_ops;  // shard<i>.ops.<kind>
+  const auto expect_op = [&](const kv::Request& req) {
+    ++expected_ops["shard" + std::to_string(engine.ShardFor(req.key)) + ".ops." +
+                   kv::OpKindName(req.kind)];
+  };
+
+  // One-request batches: one op of each kind, on alternating shards.
+  kv::RequestBatch ops;
+  ops.AddLookup(low);
+  ops.AddInsert(high, 7);
+  ops.AddDelete(low);
+  ops.AddScan(high, 4);
+  ops.AddReadModifyWrite(low, 9);
+  const std::vector<kv::Request> singles = ops.requests;
+  kv::RequestBatch batch;
+  for (const kv::Request& req : singles) {
+    batch.requests = {req};
+    ASSERT_TRUE(engine.Execute(batch).ok()) << kv::OpKindName(req.kind);
+    expect_op(req);
+  }
+  const MetricsSnapshot after_singles = registry.Snapshot();
+  const std::vector<OpSpan> single_spans = OpSpans(trace.ToChromeTraceJson());
+  ASSERT_EQ(single_spans.size(), singles.size());
+  for (const kv::Request& req : singles) {
+    const std::string kind = kv::OpKindName(req.kind);
+    EXPECT_EQ(after_singles.histograms.at("engine." + kind + "_us").count, 1u) << kind;
+    const auto span = std::find_if(single_spans.begin(), single_spans.end(),
+                                   [&](const OpSpan& s) { return s.name == kind; });
+    ASSERT_NE(span, single_spans.end()) << kind;
+    EXPECT_EQ(span->shard, static_cast<int>(engine.ShardFor(req.key))) << kind;
+  }
+  EXPECT_EQ(after_singles.histograms.at("engine.execute_us").count, 0u);
+
+  // A multi-request batch spanning both shards is one `execute`.
+  batch.Clear();
+  batch.AddLookup(high);
+  batch.AddInsert(low, 11);
+  batch.AddScan(low, 3);
+  batch.AddReadModifyWrite(high, 13);
+  batch.AddDelete(high);
+  ASSERT_TRUE(engine.Execute(batch).ok());
+  for (const kv::Request& req : batch.requests) expect_op(req);
+  const MetricsSnapshot after_batch = registry.Snapshot();
+  EXPECT_EQ(after_batch.histograms.at("engine.execute_us").count, 1u);
+  for (const kv::Request& req : singles) {
+    const std::string name = std::string("engine.") + kv::OpKindName(req.kind) + "_us";
+    EXPECT_EQ(after_batch.histograms.at(name).count, 1u) << name;
+  }
+  const std::vector<OpSpan> spans = OpSpans(trace.ToChromeTraceJson());
+  ASSERT_EQ(spans.size(), singles.size() + 1);
+  const auto execute = std::find_if(spans.begin(), spans.end(),
+                                    [](const OpSpan& s) { return s.name == "execute"; });
+  ASSERT_NE(execute, spans.end());
+  EXPECT_EQ(execute->shard, -1);
+
+  // Per-shard op counters count every request, batched or not.
+  for (std::size_t i = 0; i < engine.num_shards(); ++i) {
+    for (std::size_t k = 0; k < kv::kNumOpKinds; ++k) {
+      const std::string name = "shard" + std::to_string(i) + ".ops." +
+                               kv::OpKindName(static_cast<kv::OpKind>(k));
+      EXPECT_EQ(after_batch.counters.at(name), expected_ops[name]) << name;
+    }
   }
 }
 

@@ -5,10 +5,6 @@
 //   liod_cli recover [flags] -- `run` with the crash-recovery demo forced on
 //   liod_cli stats [flags]   -- live stats of a running serve (wire stats op)
 //
-// A bare invocation (first argument is a --flag) still works as the historical
-// `run` with identical flags and output, printing a deprecation note to
-// stderr; every script written against the old interface keeps running.
-//
 // run/recover report throughput, exact block I/O, phase breakdown, tail
 // latency, and storage footprint -- the general-purpose driver behind the
 // per-figure benchmarks.
@@ -176,7 +172,7 @@ void Usage() {
       "liod_cli serve --listen unix:PATH|tcp:PORT [--workers N] [--queue N]\n"
       "               [--wal-dir DIR] [--recover] [engine options]\n"
       "liod_cli recover [run options]   (run with the crash-recovery demo)\n"
-      "(a bare `liod_cli --flags` is the deprecated spelling of `run`)\n\n"
+      "liod_cli stats --connect unix:PATH|tcp:[HOST:]PORT [--watch N]\n\n"
       "indexes:   btree fiting pgm alex alex-l1 lipp hybrid-{fiting,pgm,alex,lipp}\n"
       "datasets: ");
   for (const auto& d : AllDatasetNames()) std::printf(" %s", d.c_str());
@@ -189,7 +185,7 @@ void Usage() {
       "             spans all shards in engine mode) --write-back\n"
       "           --scan-length N --disk hdd|ssd|both --csv --inner-in-memory\n"
       "           --threads N --shards N (engine mode when either > 1) --zipf THETA\n"
-      "           --lock-mode exclusive|shared|optimistic (engine shard latches)\n"
+      "           --lock-mode exclusive|shared (engine shard latches)\n"
       "           --update-buffer BLOCKS (0 = in-place) --merge-mode sync|background\n"
       "           --merge-threshold F (fraction of staging capacity; > 1 spills runs)\n"
       "           --durability none|async|group-commit|sync-per-op (WAL for the\n"
@@ -1215,24 +1211,15 @@ int StatsCommand(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string command = "run";
-  int flag_start = 1;
-  if (argc > 1 && argv[1][0] != '-') {
-    command = argv[1];
-    flag_start = 2;
-    if (command != "run" && command != "serve" && command != "recover" &&
-        command != "stats") {
-      std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-      Usage();
-      return 2;
-    }
-  } else if (argc > 1) {
-    std::fprintf(stderr,
-                 "note: bare `liod_cli --flags` is deprecated; use `liod_cli run --flags`\n");
+  const std::string command = argc > 1 ? argv[1] : "";
+  if (command != "run" && command != "serve" && command != "recover" && command != "stats") {
+    if (!command.empty()) std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    Usage();
+    return 2;
   }
 
   CliArgs args;
-  if (!Parse(argc, argv, flag_start, &args)) {
+  if (!Parse(argc, argv, 2, &args)) {
     Usage();
     return 2;
   }
