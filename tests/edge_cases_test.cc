@@ -124,9 +124,11 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, EdgeCaseTest,
                            return name;
                          });
 
-// Writable indexes under unusual block sizes.
+// Writable indexes under unusual block sizes. The index name is a std::string
+// so gtest prints it by value; a const char* tuple element would print as a
+// load-address-dependent pointer and make the test names differ per build.
 class BlockSizeEdgeTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
 
 TEST_P(BlockSizeEdgeTest, InsertLookupAtBlockSize) {
   const auto [name, block_size] = GetParam();
@@ -154,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("btree", "fiting", "pgm", "alex", "lipp"),
                        ::testing::Values(1024u, 8192u, 16384u)),
     [](const ::testing::TestParamInfo<BlockSizeEdgeTest::ParamType>& param) {
-      return std::string(std::get<0>(param.param)) + "_bs" +
+      return std::get<0>(param.param) + "_bs" +
              std::to_string(std::get<1>(param.param));
     });
 
