@@ -17,10 +17,8 @@ namespace liod::server {
 
 namespace {
 
-double ElapsedUs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+double Us(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(d).count();
 }
 
 /// Best-effort tag of a body that failed to decode: the tag is the first
@@ -104,42 +102,57 @@ Status KvServer::Start() {
     }
   }
   started_ = true;
-  if (unix_fd_ >= 0) accept_threads_.emplace_back(&KvServer::AcceptLoop, this, unix_fd_);
-  if (tcp_fd_ >= 0) accept_threads_.emplace_back(&KvServer::AcceptLoop, this, tcp_fd_);
+  if (unix_fd_ >= 0) {
+    accept_threads_.emplace_back(&KvServer::AcceptLoop, this, unix_fd_, false);
+  }
+  if (tcp_fd_ >= 0) accept_threads_.emplace_back(&KvServer::AcceptLoop, this, tcp_fd_, true);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back(&KvServer::WorkerLoop, this);
   }
   return Status::Ok();
 }
 
-void KvServer::AcceptLoop(int listen_fd) {
+void KvServer::AcceptLoop(int listen_fd, bool tcp) {
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        if (draining_) return;
-      }
+      if (draining_.load()) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // listener closed or broken: stop accepting
     }
+    if (tcp) SetTcpNoDelay(fd);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-    }
     {
       std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.connections_accepted;
     }
     if (options_.metrics != nullptr) options_.metrics->Add(connections_id_);
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    // Release ended conversations. A finished reader has answered every
+    // frame it accepted, so no thread touches its fd any more. Shutdown
+    // snapshots conns_ only after the accept threads join, so it never sees
+    // a closed (and possibly reused) fd number.
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      Connection& done = **it;
+      if (!done.finished.load()) {
+        ++it;
+        continue;
+      }
+      done.reader.join();
+      ::close(done.fd);
+      it = conns_.erase(it);
+    }
+    // Started under conns_mu_, so the other listener's accept thread never
+    // reads conn->reader while it is being assigned.
     conn->reader = std::thread(&KvServer::ReaderLoop, this, conn);
+    conns_.push_back(std::move(conn));
   }
 }
 
 void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
   std::vector<std::byte> body;
+  kv::RequestBatch batch;  // one-request frames execute here
   for (;;) {
     const Status read_status = ReadFrameBody(conn->fd, kMaxFrameBytes, &body);
     if (!read_status.ok()) {
@@ -159,8 +172,7 @@ void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       continue;
     }
     std::uint32_t tag = 0;
-    std::vector<kv::Request> requests;
-    const Status decode_status = DecodeRequestBody(body, &tag, &requests);
+    const Status decode_status = DecodeRequestBody(body, &tag, &batch.requests);
     if (!decode_status.ok()) {
       // Malformed body (garbage op kind, count mismatch, ...): the fuzz
       // contract -- an error response, never a crash. The stream itself is
@@ -172,17 +184,26 @@ void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       RespondRejection(conn.get(), SalvageTag(body), 1, Status::Code::kInvalidArgument);
       continue;
     }
+    const auto decoded = std::chrono::steady_clock::now();
+    const std::size_t op_count = batch.requests.size();
 
-    WorkItem item;
-    item.conn = conn;
-    item.tag = tag;
-    item.requests = std::move(requests);
-    item.enqueued = std::chrono::steady_clock::now();
-    const std::size_t op_count = item.requests.size();
+    if (op_count == 1) {
+      // One request: run it here. A worker would add a thread wake-up and a
+      // context switch to every batch-1 round trip. This connection's next
+      // frame is read only after this one is answered, so a flood of
+      // one-request frames is paced by socket backpressure, not shed.
+      if (draining_.load()) {
+        RejectFrame(conn.get(), tag, op_count, Status::Code::kShuttingDown);
+      } else {
+        ExecuteFrame(conn.get(), tag, &batch, decoded);
+      }
+      continue;
+    }
+
     Status::Code reject = Status::Code::kOk;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      if (draining_) {
+      if (draining_.load()) {
         reject = Status::Code::kShuttingDown;
       } else if (queue_.size() >= options_.queue_capacity) {
         reject = Status::Code::kOverloaded;
@@ -191,35 +212,24 @@ void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
           std::lock_guard<std::mutex> plock(conn->pending_mu);
           ++conn->pending;
         }
-        queue_.push_back(std::move(item));
+        queue_.push_back(WorkItem{conn, tag, std::move(batch.requests), decoded});
       }
     }
     if (reject == Status::Code::kOk) {
       queue_cv_.notify_one();
-      continue;
+    } else {
+      RejectFrame(conn.get(), tag, op_count, reject);
     }
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      if (reject == Status::Code::kOverloaded) {
-        ++counters_.batches_overloaded;
-      } else {
-        ++counters_.batches_shutdown_rejected;
-      }
-    }
-    if (options_.metrics != nullptr) {
-      options_.metrics->Add(reject == Status::Code::kOverloaded ? overloaded_id_
-                                                                : shutdown_rejected_id_);
-    }
-    RespondRejection(conn.get(), tag, op_count, reject);
   }
   // Let in-flight batches answer before the client sees EOF, then end the
-  // conversation. The fd itself is released in Shutdown (no fd-number reuse
-  // races with concurrent accepts).
+  // conversation. The fd itself is released by the next accept or by
+  // Shutdown, once this thread has finished.
   {
     std::unique_lock<std::mutex> lock(conn->pending_mu);
     conn->pending_cv.wait(lock, [&] { return conn->pending == 0; });
   }
   ::shutdown(conn->fd, SHUT_WR);
+  conn->finished.store(true);
 }
 
 void KvServer::WorkerLoop() {
@@ -229,7 +239,7 @@ void KvServer::WorkerLoop() {
     bool drain_reject = false;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return draining_ || !queue_.empty(); });
+      queue_cv_.wait(lock, [&] { return draining_.load() || !queue_.empty(); });
       if (queue_.empty()) return;  // draining and nothing left to fail
       item = std::move(queue_.front());
       queue_.pop_front();
@@ -237,64 +247,72 @@ void KvServer::WorkerLoop() {
       // started when Shutdown began is FAILED with kShuttingDown, not
       // silently dropped and not executed (executing it would move the
       // committed state after the checkpoint decision).
-      drain_reject = draining_;
+      drain_reject = draining_.load();
     }
     if (drain_reject) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.batches_shutdown_rejected;
-      }
-      if (options_.metrics != nullptr) {
-        options_.metrics->Add(shutdown_rejected_id_);
-      }
-      RespondRejection(item.conn.get(), item.tag, item.requests.size(),
-                       Status::Code::kShuttingDown);
-      FinishPending(item.conn.get());
-      continue;
+      RejectFrame(item.conn.get(), item.tag, item.requests.size(),
+                  Status::Code::kShuttingDown);
+    } else {
+      batch.requests = std::move(item.requests);
+      ExecuteFrame(item.conn.get(), item.tag, &batch, item.decoded);
     }
-    const bool timed = options_.metrics != nullptr || slow_ring_ != nullptr;
-    const double queue_us = timed ? ElapsedUs(item.enqueued) : 0.0;
-    if (options_.metrics != nullptr) {
-      options_.metrics->Observe(queue_wait_us_id_, queue_us);
-    }
-    TraceRecorder::Scope span(options_.trace, "dispatch", "net",
-                              static_cast<int>(item.requests.size()));
-    batch.requests = std::move(item.requests);
-    const auto start = std::chrono::steady_clock::now();
-    // Per-op outcomes land in the response codes; a hard batch failure is
-    // already reflected there too, so the wire answer is complete either way.
-    (void)engine_->Execute(batch);
-    const double execute_us = timed ? ElapsedUs(start) : 0.0;
-    if (options_.metrics != nullptr) {
-      options_.metrics->Observe(execute_us_id_, execute_us);
-      options_.metrics->Add(ops_id_, batch.requests.size());
-    }
-    if (slow_ring_ != nullptr && queue_us + execute_us >= options_.slow_op_us) {
-      // The batch is the admission/execution unit, so its latencies are
-      // attributed to each of its ops (exact for single-op frames, which is
-      // what both runners send).
-      for (const kv::Request& req : batch.requests) {
-        SlowOpRecord rec;
-        rec.kind = static_cast<std::uint8_t>(req.kind);
-        rec.key = req.key;
-        rec.shard = static_cast<std::uint32_t>(engine_->ShardFor(req.key));
-        rec.queue_us = queue_us;
-        rec.execute_us = execute_us;
-        const bool evicted = slow_ring_->Record(rec);
-        if (options_.metrics != nullptr) {
-          options_.metrics->Add(slow_ops_id_);
-          if (evicted) options_.metrics->Add(slow_ops_dropped_id_);
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.batches_executed;
-      counters_.ops_executed += batch.requests.size();
-    }
-    Respond(item.conn.get(), item.tag, batch.responses);
     FinishPending(item.conn.get());
   }
+}
+
+void KvServer::ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatch* batch,
+                            std::chrono::steady_clock::time_point decoded) {
+  TraceRecorder::Scope span(options_.trace, "dispatch", "net",
+                            static_cast<int>(batch->requests.size()));
+  const auto start = std::chrono::steady_clock::now();
+  // Per-op outcomes land in the response codes; a hard batch failure is
+  // already reflected there too, so the wire answer is complete either way.
+  (void)engine_->Execute(*batch);
+  const bool timed = options_.metrics != nullptr || slow_ring_ != nullptr;
+  const double queue_us = timed ? Us(start - decoded) : 0.0;
+  const double execute_us = timed ? Us(std::chrono::steady_clock::now() - start) : 0.0;
+  if (options_.metrics != nullptr) {
+    options_.metrics->Observe(queue_wait_us_id_, queue_us);
+    options_.metrics->Observe(execute_us_id_, execute_us);
+    options_.metrics->Add(ops_id_, batch->requests.size());
+  }
+  if (slow_ring_ != nullptr && queue_us + execute_us >= options_.slow_op_us) {
+    // The batch is the admission/execution unit, so its latencies are
+    // attributed to each of its ops (exact for single-op frames, which is
+    // what both runners send).
+    for (const kv::Request& req : batch->requests) {
+      SlowOpRecord rec;
+      rec.kind = static_cast<std::uint8_t>(req.kind);
+      rec.key = req.key;
+      rec.shard = static_cast<std::uint32_t>(engine_->ShardFor(req.key));
+      rec.queue_us = queue_us;
+      rec.execute_us = execute_us;
+      const bool evicted = slow_ring_->Record(rec);
+      if (options_.metrics != nullptr) {
+        options_.metrics->Add(slow_ops_id_);
+        if (evicted) options_.metrics->Add(slow_ops_dropped_id_);
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++counters_.batches_executed;
+    counters_.ops_executed += batch->requests.size();
+  }
+  Respond(conn, tag, batch->responses);
+}
+
+void KvServer::RejectFrame(Connection* conn, std::uint32_t tag, std::size_t op_count,
+                           Status::Code code) {
+  const bool overloaded = code == Status::Code::kOverloaded;
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++(overloaded ? counters_.batches_overloaded : counters_.batches_shutdown_rejected);
+  }
+  if (options_.metrics != nullptr) {
+    options_.metrics->Add(overloaded ? overloaded_id_ : shutdown_rejected_id_);
+  }
+  RespondRejection(conn, tag, op_count, code);
 }
 
 void KvServer::FinishPending(Connection* conn) {
@@ -483,7 +501,7 @@ Status KvServer::Shutdown() {
   }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    draining_ = true;
+    draining_.store(true);
   }
   // Wake every worker NOW: they keep running through the reader joins below,
   // answering queued batches with kShuttingDown so the readers' pending

@@ -32,10 +32,12 @@ struct ServerOptions {
   /// tcp_port()).
   int tcp_port = -1;
   std::string tcp_host = "127.0.0.1";
-  /// Worker threads executing batches against the engine.
+  /// Worker threads executing multi-request frames against the engine. A
+  /// one-request frame never reaches them: its reader thread executes it.
   std::size_t workers = 4;
-  /// Admission queue bound: batches queued beyond this are shed with
-  /// kOverloaded on every op (never executed, never blocked on).
+  /// Admission queue bound for multi-request frames: frames queued beyond
+  /// this are shed with kOverloaded on every op (never executed, never
+  /// blocked on). One-request frames bypass the queue and are never shed.
   std::size_t queue_capacity = 64;
   /// Optional telemetry (server.* counters/histograms, "net" spans).
   MetricRegistry* metrics = nullptr;
@@ -68,22 +70,33 @@ struct ServerCounters {
 ///
 /// Threading: one accept thread per listener, one reader thread per
 /// connection, `workers` executor threads behind ONE bounded admission
-/// queue. Readers decode frames and try to enqueue; a full queue sheds the
-/// batch with an immediate all-ops kOverloaded response (admission control
-/// fails fast -- it never blocks the reader, so a flooding client gets
-/// backpressure as explicit rejections, not a hang). Workers pop batches,
-/// run ShardedEngine::Execute -- requests from ALL connections share the
-/// engine's shard latches, and a multi-op frame takes each latch once -- and
-/// write the response under the connection's write lock (pipelined batches
-/// may complete out of order; the frame tag lets the client re-match).
+/// queue. Readers decode frames. A frame of exactly one request runs on its
+/// reader, which executes it and writes the response before reading the
+/// connection's next frame: one-request frames execute one at a time per
+/// connection, in arrival order, without a hand-off to another thread, and a
+/// flood of them is slowed by socket backpressure, never shed. A
+/// multi-request frame goes to the queue; a full queue sheds it with an
+/// immediate all-ops kOverloaded response (admission control fails fast --
+/// it never blocks the reader, so a flooding client gets backpressure as
+/// explicit rejections, not a hang). Workers pop queued frames and run them.
+/// Either way the frame goes through ShardedEngine::Execute -- requests from
+/// ALL connections share the engine's shard latches, and a multi-op frame
+/// takes each latch once -- and its response is written under the
+/// connection's write lock (pipelined frames may complete out of order; the
+/// frame tag lets the client re-match).
 ///
 /// Shutdown() drains gracefully: listeners close, connection read sides shut
-/// down (in-flight reads see EOF), and every batch still queued is answered
-/// kShuttingDown by the draining workers -- never silently dropped (a
-/// response or a clean EOF is guaranteed for every accepted frame). After
-/// the workers join, the engine is checkpointed (FlushUpdates) and its WAL
-/// synced (FlushBuffers), so a subsequent start with --recover replays
-/// nothing and answers the full committed history.
+/// down (in-flight reads see EOF), a one-request frame read after the drain
+/// began is answered kShuttingDown by its reader, and every frame still
+/// queued is answered kShuttingDown by the draining workers -- never silently
+/// dropped (a response or a clean EOF is guaranteed for every accepted
+/// frame). After the readers and workers join, the engine is checkpointed
+/// (FlushUpdates) and its WAL synced (FlushBuffers), so a subsequent start
+/// with --recover replays nothing and answers the full committed history.
+///
+/// A connection whose conversation has ended keeps its fd and reader thread
+/// until the next accept on either listener, which releases it, or until
+/// Shutdown().
 class KvServer {
  public:
   /// `engine` must be bulkloaded/recovered and outlive the server.
@@ -131,18 +144,35 @@ class KvServer {
     std::mutex pending_mu;
     std::condition_variable pending_cv;
     std::size_t pending = 0;
+    /// Set by the reader as its last action: the accept thread may then join
+    /// it and close the fd.
+    std::atomic<bool> finished{false};
   };
 
   struct WorkItem {
     std::shared_ptr<Connection> conn;
     std::uint32_t tag = 0;
     std::vector<kv::Request> requests;
-    std::chrono::steady_clock::time_point enqueued;
+    std::chrono::steady_clock::time_point decoded;
   };
 
-  void AcceptLoop(int listen_fd);
+  /// Accepts connections until the listener closes. Each accept first
+  /// releases the connections whose readers have finished. `tcp` sets
+  /// TCP_NODELAY on every accepted connection.
+  void AcceptLoop(int listen_fd, bool tcp);
   void ReaderLoop(const std::shared_ptr<Connection>& conn);
   void WorkerLoop();
+  /// Executes one frame and answers it: the queue-wait (decode to start of
+  /// execution) and execute histograms, the "dispatch" span, the slow-op
+  /// ring, ServerCounters and the response. The reader calls it for a
+  /// one-request frame, a worker for a popped one; `batch` is the caller's
+  /// reusable scratch holding the frame's requests.
+  void ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatch* batch,
+                    std::chrono::steady_clock::time_point decoded);
+  /// Counts a frame refused before execution (kOverloaded or kShuttingDown)
+  /// and answers it with an all-ops rejection.
+  void RejectFrame(Connection* conn, std::uint32_t tag, std::size_t op_count,
+                   Status::Code code);
   /// Encodes and writes one response frame under conn->write_mu. Write
   /// errors mark the connection closed (the peer hung up; nothing to do).
   void Respond(Connection* conn, std::uint32_t tag,
@@ -171,9 +201,10 @@ class KvServer {
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<WorkItem> queue_;
-  /// Set under queue_mu_ at the start of Shutdown: readers stop admitting
-  /// (kShuttingDown), workers fail what is already queued.
-  bool draining_ = false;
+  /// Set under queue_mu_ at the start of Shutdown (so waiting workers cannot
+  /// miss it): readers stop executing and admitting (kShuttingDown), workers
+  /// fail what is already queued.
+  std::atomic<bool> draining_{false};
   bool started_ = false;
   bool stopped_ = false;
 

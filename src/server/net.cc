@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -159,8 +160,14 @@ Status ConnectTcp(const std::string& host, int port, int* out) {
     ::close(fd);
     return status;
   }
+  SetTcpNoDelay(fd);
   *out = fd;
   return Status::Ok();
+}
+
+void SetTcpNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace liod::server

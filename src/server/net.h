@@ -37,9 +37,14 @@ Status ListenUnix(const std::string& path, int* out);
 /// picks an ephemeral port; `bound_port` returns the actual one.
 Status ListenTcp(const std::string& host, int port, int* out, int* bound_port);
 
-/// Client-side connects.
+/// Client-side connects. ConnectTcp sets TCP_NODELAY (SetTcpNoDelay).
 Status ConnectUnix(const std::string& path, int* out);
 Status ConnectTcp(const std::string& host, int port, int* out);
+
+/// Disables Nagle's algorithm on a connected TCP socket, so a small frame
+/// goes out at once instead of waiting for the peer to acknowledge the
+/// previous one (up to its 40 ms delayed ACK). Best effort.
+void SetTcpNoDelay(int fd);
 
 }  // namespace liod::server
 

@@ -1,17 +1,23 @@
 // The socket front-end (src/server/): protocol round trips, the
 // malformed-frame fuzz contract (error response or clean close -- never a
-// crash), admission-control shedding (kOverloaded, not a hang), the
+// crash), admission-control shedding (kOverloaded, not a hang), one-request
+// frames run in order on the reader (never shed), connection release, the
 // shutdown-drain contract (queued batches answered kShuttingDown, never
 // silently dropped -- a TSan target), and the end-to-end
 // serve/shutdown/recover cycle answering the committed history bit-equal.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -314,6 +320,90 @@ TEST(KvServerTest, TcpListenerServesOnEphemeralPort) {
   ASSERT_TRUE(server.Shutdown().ok());
 }
 
+TEST(KvServerTest, ConnectTcpSetsNoDelay) {
+  int listen_fd = -1;
+  int port = 0;
+  ASSERT_TRUE(server::ListenTcp("127.0.0.1", 0, &listen_fd, &port).ok());
+  int fd = -1;
+  ASSERT_TRUE(server::ConnectTcp("127.0.0.1", port, &fd).ok());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  ::close(fd);
+  ::close(listen_fd);
+}
+
+TEST(KvServerTest, PipelinedTcpFramesDoNotWaitOnDelayedAcks) {
+  // Small pipelined frames over TCP: with Nagle's algorithm on either end, a
+  // frame waits for the ACK of the previous one, which the peer delays by up
+  // to 40 ms. TCP_NODELAY on both the client and the accepted connection
+  // keeps a burst of 32 well under a millisecond on loopback.
+  EngineOptions engine_options = ServerEngineOptions(2);
+  const auto records = ToRecords(UniformKeys(500, 29));
+  ShardedEngine engine(engine_options);
+  ASSERT_TRUE(engine.Bulkload(records).ok());
+  server::ServerOptions options;
+  options.tcp_port = 0;
+  server::KvServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  server::KvClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+
+  constexpr std::uint32_t kFrames = 32;
+  std::vector<double> burst_ms;
+  for (int burst = 0; burst < 5; ++burst) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint32_t t = 1; t <= kFrames; ++t) {
+      const std::vector<kv::Request> requests = {
+          {kv::OpKind::kLookup, records[t].key, 0, 0}};
+      ASSERT_TRUE(client.Send(t, requests).ok());
+    }
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      std::uint32_t tag = 0;
+      std::vector<kv::Response> responses;
+      ASSERT_TRUE(client.Receive(&tag, &responses).ok());
+      ASSERT_EQ(responses.size(), 1u);
+      EXPECT_TRUE(responses[0].found);
+    }
+    burst_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::sort(burst_ms.begin(), burst_ms.end());
+  EXPECT_LT(burst_ms[2], 20.0) << "median burst of " << kFrames << " frames";
+  ASSERT_TRUE(server.Shutdown().ok());
+}
+
+/// Open file descriptors of this process.
+std::size_t OpenFdCount() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(KvServerTest, ClosedConnectionsReleaseTheirFds) {
+  // A connection's fd and reader thread are released soon after the client
+  // hangs up (at the next accept), not held until Shutdown: a server taking
+  // many short connections must not run into its descriptor limit.
+  ServerHarness harness("release");
+  const std::size_t before = OpenFdCount();
+  kv::RequestBatch batch;
+  batch.AddLookup(harness.records[0].key);
+  std::vector<kv::Response> responses;
+  for (int i = 0; i < 200; ++i) {
+    server::KvClient client;
+    ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
+    ASSERT_TRUE(client.Call(batch.requests, &responses).ok());
+    ASSERT_TRUE(responses[0].found);
+  }
+  // Only the connections that ended after the last accept are still held.
+  EXPECT_LE(OpenFdCount(), before + 8);
+  EXPECT_EQ(harness.server->counters().connections_accepted, 200u);
+}
+
 TEST(KvServerTest, PipelinedFramesRematchByTag) {
   // Queue deeper than the in-flight window: this test is about tag
   // re-matching, so nothing may be shed even when workers run slowly
@@ -501,6 +591,35 @@ TEST(KvServerTest, FloodShedsWithOverloadedNotAHang) {
   EXPECT_EQ(counters.batches_executed, executed);
 }
 
+TEST(KvServerTest, OneRequestFloodRunsInOrderWithoutShedding) {
+  // The same 1-worker, 1-deep-queue server as above, flooded with expensive
+  // ONE-request frames: those run on the connection's reader, one at a time
+  // and in arrival order, so none reaches the queue and none is shed -- the
+  // socket's backpressure paces the client instead.
+  ServerHarness harness("reader_flood", /*shards=*/1, /*workers=*/1, /*queue=*/1);
+  server::KvClient client;
+  ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
+
+  constexpr std::uint32_t kFrames = 64;
+  const std::vector<kv::Request> expensive = {
+      {kv::OpKind::kScan, harness.records[0].key, 0, 1024}};
+  for (std::uint32_t t = 1; t <= kFrames; ++t) {
+    ASSERT_TRUE(client.Send(t, expensive).ok());
+  }
+  for (std::uint32_t t = 1; t <= kFrames; ++t) {
+    std::uint32_t tag = 0;
+    std::vector<kv::Response> responses;
+    ASSERT_TRUE(client.Receive(&tag, &responses).ok());
+    EXPECT_EQ(tag, t) << "responses out of send order";
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].code, Status::Code::kOk);
+    EXPECT_EQ(responses[0].records.size(), 1024u);
+  }
+  const server::ServerCounters counters = harness.server->counters();
+  EXPECT_EQ(counters.batches_executed, kFrames);
+  EXPECT_EQ(counters.batches_overloaded, 0u);
+}
+
 // --- live stats (the kStats admin op) ---------------------------------------
 
 /// First match of `"key":<uint>` in a JSON document whose scalar keys are
@@ -662,6 +781,50 @@ TEST(KvServerStatsTest, SlowOpFloodBoundsTheRingAndCountsDrops) {
   ::unlink(path.c_str());
 }
 
+TEST(KvServerStatsTest, ReaderAndWorkerFramesRecordOneSampleEach) {
+  // One-request frames execute on the reader, multi-request frames on a
+  // worker. Every executed frame records exactly one queue-wait and one
+  // execute sample either way, so the registry, ServerCounters and the
+  // stats op tell one story.
+  MetricRegistry registry;
+  EngineOptions engine_options = ServerEngineOptions(2);
+  const auto records = ToRecords(UniformKeys(2000, 47));
+  ShardedEngine engine(engine_options);
+  ASSERT_TRUE(engine.Bulkload(records).ok());
+
+  const std::string path = TestSocketPath("reader_metrics");
+  server::ServerOptions server_options;
+  server_options.unix_path = path;
+  server_options.metrics = &registry;
+  server::KvServer server(&engine, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  server::KvClient client;
+  ASSERT_TRUE(client.ConnectUnix(path).ok());
+  std::vector<kv::Response> responses;
+  for (int i = 0; i < 30; ++i) {
+    kv::RequestBatch batch;  // 1, 2 or 3 ops
+    for (int op = 0; op <= i % 3; ++op) batch.AddLookup(records[i + op].key);
+    ASSERT_TRUE(client.Call(batch.requests, &responses).ok());
+    ASSERT_EQ(responses.size(), batch.requests.size());
+  }
+
+  const server::ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.batches_executed, 30u);
+  EXPECT_EQ(counters.ops_executed, 60u);
+  const MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(metrics.histograms.at("server.queue_wait_us").count, counters.batches_executed);
+  EXPECT_EQ(metrics.histograms.at("server.execute_us").count, counters.batches_executed);
+  EXPECT_EQ(metrics.counters.at("server.ops"), counters.ops_executed);
+  std::string json;
+  ASSERT_TRUE(client.Stats(&json).ok());
+  EXPECT_EQ(JsonUint(json, "batches_executed"), counters.batches_executed);
+  EXPECT_EQ(JsonUint(json, "ops_executed"), counters.ops_executed);
+
+  ASSERT_TRUE(server.Shutdown().ok());
+  ::unlink(path.c_str());
+}
+
 // --- shutdown drain (TSan target) -------------------------------------------
 
 TEST(KvServerStressTest, ShutdownDrainAnswersEveryAcceptedFrame) {
@@ -670,75 +833,80 @@ TEST(KvServerStressTest, ShutdownDrainAnswersEveryAcceptedFrame) {
   // answered -- executed, kOverloaded, or kShuttingDown -- before its
   // connection sees EOF; nothing hangs; nothing is silently dropped. Client
   // threads tally what they saw and the tallies must reconcile with the
-  // server's counters exactly.
-  ServerHarness harness("drain", /*shards=*/2, /*workers=*/2, /*queue=*/8);
+  // server's counters exactly. Runs with 4-op frames (admission queue and
+  // workers) and with one-request frames (executed by the readers).
+  for (const std::size_t ops_per_frame : {4, 1}) {
+    SCOPED_TRACE("ops per frame: " + std::to_string(ops_per_frame));
+    ServerHarness harness("drain" + std::to_string(ops_per_frame), /*shards=*/2,
+                          /*workers=*/2, /*queue=*/8);
 
-  std::atomic<std::uint64_t> executed{0}, shutdown_rejected{0}, overloaded{0};
-  constexpr std::size_t kClients = 4;
-  RacingThreads clients;
-  clients.StartN(kClients, [&](std::size_t c, const std::atomic<bool>& stop) -> Status {
-    server::KvClient client;
-    LIOD_RETURN_IF_ERROR(client.ConnectUnix(harness.path));
-    std::vector<kv::Request> requests;
-    for (int i = 0; i < 4; ++i) {
-      requests.push_back(
-          {kv::OpKind::kLookup, harness.records[(c * 31 + i) % 2000].key, 0, 0});
-    }
-    std::uint32_t sent = 0, received = 0;
-    Status pump;
-    while (!stop.load(std::memory_order_relaxed)) {
-      // Keep up to 8 frames in flight.
-      while (sent - received < 8) {
-        pump = client.Send(++sent, requests);
+    std::atomic<std::uint64_t> executed{0}, shutdown_rejected{0}, overloaded{0};
+    constexpr std::size_t kClients = 4;
+    RacingThreads clients;
+    clients.StartN(kClients, [&](std::size_t c, const std::atomic<bool>& stop) -> Status {
+      server::KvClient client;
+      LIOD_RETURN_IF_ERROR(client.ConnectUnix(harness.path));
+      std::vector<kv::Request> requests;
+      for (std::size_t i = 0; i < ops_per_frame; ++i) {
+        requests.push_back(
+            {kv::OpKind::kLookup, harness.records[(c * 31 + i) % 2000].key, 0, 0});
+      }
+      std::uint32_t sent = 0, received = 0;
+      Status pump;
+      while (!stop.load(std::memory_order_relaxed)) {
+        // Keep up to 8 frames in flight.
+        while (sent - received < 8) {
+          pump = client.Send(++sent, requests);
+          if (!pump.ok()) break;
+        }
         if (!pump.ok()) break;
+        std::uint32_t tag = 0;
+        std::vector<kv::Response> responses;
+        pump = client.Receive(&tag, &responses);
+        if (!pump.ok()) break;
+        ++received;
+        if (responses.empty()) return Status::Corruption("empty response frame");
+        switch (responses[0].code) {
+          case Status::Code::kShuttingDown: ++shutdown_rejected; break;
+          case Status::Code::kOverloaded: ++overloaded; break;
+          default: ++executed; break;
+        }
       }
-      if (!pump.ok()) break;
-      std::uint32_t tag = 0;
-      std::vector<kv::Response> responses;
-      pump = client.Receive(&tag, &responses);
-      if (!pump.ok()) break;
-      ++received;
-      if (responses.empty()) return Status::Corruption("empty response frame");
-      switch (responses[0].code) {
-        case Status::Code::kShuttingDown: ++shutdown_rejected; break;
-        case Status::Code::kOverloaded: ++overloaded; break;
-        default: ++executed; break;
+      // After the shutdown races in, the only legal ends of the conversation
+      // are a transport error (kIoError: send raced the read-side shutdown)
+      // or a clean EOF (kNotFound) -- and EOF may only arrive after every
+      // admitted frame was answered. Drain what is still in the pipe.
+      for (;;) {
+        std::uint32_t tag = 0;
+        std::vector<kv::Response> responses;
+        const Status status = client.Receive(&tag, &responses);
+        if (!status.ok()) break;
+        ++received;
+        if (responses.empty()) return Status::Corruption("empty response frame");
+        switch (responses[0].code) {
+          case Status::Code::kShuttingDown: ++shutdown_rejected; break;
+          case Status::Code::kOverloaded: ++overloaded; break;
+          default: ++executed; break;
+        }
       }
-    }
-    // After the shutdown races in, the only legal ends of the conversation
-    // are a transport error (kIoError: send raced the read-side shutdown) or
-    // a clean EOF (kNotFound) -- and EOF may only arrive after every
-    // admitted frame was answered. Drain what is still in the pipe.
-    for (;;) {
-      std::uint32_t tag = 0;
-      std::vector<kv::Response> responses;
-      const Status status = client.Receive(&tag, &responses);
-      if (!status.ok()) break;
-      ++received;
-      if (responses.empty()) return Status::Corruption("empty response frame");
-      switch (responses[0].code) {
-        case Status::Code::kShuttingDown: ++shutdown_rejected; break;
-        case Status::Code::kOverloaded: ++overloaded; break;
-        default: ++executed; break;
-      }
-    }
-    if (received > sent) return Status::Corruption("more responses than requests");
-    return Status::Ok();
-  });
+      if (received > sent) return Status::Corruption("more responses than requests");
+      return Status::Ok();
+    });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(harness.server->Shutdown().ok());
-  clients.RequestStop();
-  ASSERT_TRUE(clients.JoinAll().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_TRUE(harness.server->Shutdown().ok());
+    clients.RequestStop();
+    ASSERT_TRUE(clients.JoinAll().ok());
 
-  const server::ServerCounters counters = harness.server->counters();
-  // Reconciliation: what clients observed is exactly what the server did.
-  // A response written into a connection the client already abandoned cannot
-  // happen here -- clients drain to EOF -- so the counts match 1:1.
-  EXPECT_EQ(counters.batches_executed, executed.load());
-  EXPECT_EQ(counters.batches_shutdown_rejected, shutdown_rejected.load());
-  EXPECT_EQ(counters.batches_overloaded, overloaded.load());
-  EXPECT_GT(counters.batches_executed, 0u);
+    const server::ServerCounters counters = harness.server->counters();
+    // Reconciliation: what clients observed is exactly what the server did.
+    // A response written into a connection the client already abandoned
+    // cannot happen here -- clients drain to EOF -- so the counts match 1:1.
+    EXPECT_EQ(counters.batches_executed, executed.load());
+    EXPECT_EQ(counters.batches_shutdown_rejected, shutdown_rejected.load());
+    EXPECT_EQ(counters.batches_overloaded, overloaded.load());
+    EXPECT_GT(counters.batches_executed, 0u);
+  }
 }
 
 // --- serve / shutdown / recover ---------------------------------------------

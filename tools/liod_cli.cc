@@ -154,8 +154,8 @@ struct CliArgs {
 
   // --- serve-only ----------------------------------------------------------
   std::string listen;             ///< --listen unix:PATH | tcp:PORT
-  std::size_t server_workers = 4; ///< --workers: executor threads
-  std::size_t server_queue = 64;  ///< --queue: admission queue bound
+  std::size_t server_workers = 4; ///< --workers: multi-request frame executors
+  std::size_t server_queue = 64;  ///< --queue: multi-request admission bound
   std::string wal_dir;            ///< --wal-dir: stable durable-file directory
   std::string metrics_listen;     ///< --metrics-listen unix:PATH | tcp:PORT
   double slow_op_us = 0.0;        ///< --slow-op-us: capture threshold (0 = off)
