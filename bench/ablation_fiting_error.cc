@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
       IndexOptions options = BenchOptions();
       options.fiting_error_bound = eps;
       const SearchRun s = RunSearchPair("fiting", dataset, args, options);
-      const RunResult w = RunWrite("fiting", dataset, WorkloadType::kWriteOnly, args,
-                                   options);
+      const ConcurrentRunResult w =
+          RunWrite("fiting", dataset, WorkloadType::kWriteOnly, args, options);
       std::printf("%-8u %14.2f %14.1f %14.1f %12s\n", eps, s.lookup.AvgBlocksReadPerOp(),
                   s.lookup.ThroughputOps(hdd), w.ThroughputOps(hdd),
                   FmtMiB(w.stats_after.disk_bytes).c_str());

@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
       IndexOptions no_reuse = BenchOptions();
       IndexOptions reuse = BenchOptions();
       reuse.reuse_freed_space = true;
-      const RunResult a = RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, no_reuse);
-      const RunResult b = RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, reuse);
+      const ConcurrentRunResult a =
+          RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, no_reuse);
+      const ConcurrentRunResult b = RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, reuse);
       const double saving =
           a.stats_after.disk_bytes == 0
               ? 0.0

@@ -12,12 +12,13 @@
 
 #include "common/options.h"
 #include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
+#include "engine/sharded_engine.h"
 #include "storage/disk_model.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/sampler.h"
 #include "telemetry/trace_recorder.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod::bench {
@@ -104,10 +105,10 @@ struct BenchArgs {
 };
 
 /// Opt-in telemetry for one bench binary: owns the registry/trace the flags
-/// ask for, injects them into IndexOptions/RunnerConfig, and writes the
-/// output files at Finish(). Everything stays null (zero overhead, bit-exact
-/// I/O) when no telemetry flag was passed. Declare it before any index so the
-/// registry outlives every gauge registration.
+/// ask for, injects them into IndexOptions, and writes the output files at
+/// Finish(). Everything stays null (zero overhead, bit-exact I/O) when no
+/// telemetry flag was passed. Declare it before any engine so the registry
+/// outlives every gauge registration.
 class BenchTelemetry {
  public:
   explicit BenchTelemetry(const BenchArgs& args) : args_(args) {
@@ -122,14 +123,10 @@ class BenchTelemetry {
     options->trace = trace_.get();
   }
 
-  void Apply(RunnerConfig* config) const {
-    config->metrics = metrics_.get();
-    config->trace = trace_.get();
-  }
-
-  /// Starts the --sample-out sampler if not yet running. Call after the first
-  /// index is constructed so the frozen CSV columns include its metrics
-  /// (later registrations of the SAME names accumulate into those columns).
+  /// Starts the --sample-out sampler if not yet running. Call from the first
+  /// run's before_ops hook, once the engine has registered its metrics, so
+  /// the frozen CSV columns include them (later registrations of the SAME
+  /// names accumulate into those columns).
   void EnsureSampler() {
     if (sampler_ != nullptr || args_.sample_out.empty() || metrics_ == nullptr) return;
     sampler_ = std::make_unique<TelemetrySampler>(
@@ -188,14 +185,16 @@ inline IndexOptions BenchOptions() {
   return options;
 }
 
-/// Builds the workload and runs it; aborts the binary on error (benchmarks
-/// have no recovery story).
-inline RunResult MustRun(DiskIndex* index, const Workload& workload,
-                         RunnerConfig config = {}) {
-  RunResult result;
-  const Status status = RunWorkload(index, workload, config, &result);
+/// Runs a one-thread `workload` (BuildConcurrentWorkload(keys, spec, 1)) on
+/// `engine`, a fresh one-shard engine: the paper's single-threaded
+/// evaluation, with engine->shard(0) as the index. Aborts the binary on error
+/// (benchmarks have no recovery story).
+inline ConcurrentRunResult MustRun(ShardedEngine* engine, const ConcurrentWorkload& workload,
+                                   const ConcurrentRunnerConfig& config = {}) {
+  ConcurrentRunResult result;
+  const Status status = RunConcurrentWorkload(engine, workload, config, &result);
   if (!status.ok()) {
-    std::fprintf(stderr, "FATAL %s on %s: %s\n", "workload", index->name().c_str(),
+    std::fprintf(stderr, "FATAL workload on %s: %s\n", engine->options().index_name.c_str(),
                  status.ToString().c_str());
     std::exit(1);
   }

@@ -18,14 +18,10 @@ using namespace liod::bench;
 
 namespace {
 
-RunResult RunBuffered(const std::string& index_name, const std::string& dataset,
-                      WorkloadType type, const BenchArgs& args,
-                      const IndexOptions& options) {
-  auto index = MakeIndex(index_name, options);
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-    std::exit(2);
-  }
+ConcurrentRunResult RunBuffered(const std::string& index_name, const std::string& dataset,
+                                WorkloadType type, const BenchArgs& args,
+                                const IndexOptions& options) {
+  ShardedEngine engine({.index_name = index_name, .index = options});
   const bool grows = WorkloadGrowsDataset(type);
   const std::size_t dataset_keys = grows ? args.write_bulk + args.write_ops : args.write_bulk;
   const auto keys = MakeDataset(dataset, dataset_keys, args.seed);
@@ -34,8 +30,7 @@ RunResult RunBuffered(const std::string& index_name, const std::string& dataset,
   spec.bulk_keys = args.write_bulk;
   spec.operations = args.write_ops;
   spec.seed = args.seed + 3;
-  const Workload w = BuildWorkload(keys, spec);
-  return MustRun(index.get(), w);
+  return MustRun(&engine, BuildConcurrentWorkload(keys, spec, 1));
 }
 
 }  // namespace
@@ -65,7 +60,7 @@ int main(int argc, char** argv) {
               options.shared_buffer_budget_blocks = budget;
               options.buffer_policy = policy;
               options.buffer_write_back = write_back;
-              const RunResult result =
+              const ConcurrentRunResult result =
                   RunBuffered(index_name, dataset, type, args, options);
               const double ops =
                   result.operations == 0 ? 1.0 : static_cast<double>(result.operations);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     for (const auto& dataset : args.datasets) {
       std::printf("%-10s", dataset.c_str());
       for (const auto& idx : args.indexes) {
-        const RunResult r = RunWrite(idx, dataset, type, args, options);
+        const ConcurrentRunResult r = RunWrite(idx, dataset, type, args, options);
         char cell[40];
         std::snprintf(cell, sizeof(cell), "%s(%s)", FmtMiB(r.stats_after.disk_bytes).c_str(),
                       FmtMiB(r.stats_after.freed_bytes).c_str());

@@ -11,6 +11,8 @@ int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::Parse(argc, argv);
   const IndexOptions options = BenchOptions();
   const DiskModel hdd = DiskModel::Hdd();
+  ConcurrentRunnerConfig config;
+  config.record_samples = true;
 
   std::printf(
       "Figure 12: tail latency on HDD -- p99 (ms) and stddev (ms) per op.\n"
@@ -24,14 +26,13 @@ int main(int argc, char** argv) {
     std::printf("%-10s", dataset.c_str());
     const auto keys = MakeDataset(dataset, args.search_keys, args.seed);
     for (const auto& idx : args.indexes) {
-      auto index = MakeIndex(idx, options);
+      ShardedEngine engine({.index_name = idx, .index = options});
       WorkloadSpec spec;
       spec.type = WorkloadType::kLookupOnly;
       spec.operations = args.search_ops;
       spec.seed = args.seed + 1;
-      RunnerConfig config;
-      config.record_samples = true;
-      const RunResult r = MustRun(index.get(), BuildWorkload(keys, spec), config);
+      const ConcurrentRunResult r =
+          MustRun(&engine, BuildConcurrentWorkload(keys, spec, 1), config);
       char cell[40];
       std::snprintf(cell, sizeof(cell), "%.1f/%.1f",
                     r.LatencyPercentileUs(0.99, hdd) / 1000.0,
@@ -47,9 +48,7 @@ int main(int argc, char** argv) {
   for (const auto& dataset : args.datasets) {
     std::printf("%-10s", dataset.c_str());
     for (const auto& idx : args.indexes) {
-      RunnerConfig config;
-      config.record_samples = true;
-      const RunResult r =
+      const ConcurrentRunResult r =
           RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, options, config);
       char cell[40];
       std::snprintf(cell, sizeof(cell), "%.1f/%.1f",

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     for (WorkloadType type : AllWorkloadTypes()) {
       std::vector<double> tput;
       for (const auto& idx : args.indexes) {
-        RunResult r;
+        ConcurrentRunResult r;
         if (type == WorkloadType::kLookupOnly || type == WorkloadType::kScanOnly) {
           const SearchRun run = RunSearchPair(idx, dataset, args, options);
           r = type == WorkloadType::kLookupOnly ? run.lookup : run.scan;

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         std::printf("%-7s-%-3s", dataset.c_str(), disk.name.c_str());
         for (const auto& idx : args.indexes) {
           const SearchRun& run = runs.at(dataset).at(idx);
-          const RunResult& r = lookup_phase ? run.lookup : run.scan;
+          const ConcurrentRunResult& r = lookup_phase ? run.lookup : run.scan;
           std::printf(" %10.1f", r.ThroughputOps(disk));
         }
         std::printf("\n");

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     for (const auto& idx : args.indexes) std::printf(" %10s", idx.c_str());
     std::printf("\n");
     for (const auto& dataset : args.datasets) {
-      std::map<std::string, RunResult> results;
+      std::map<std::string, ConcurrentRunResult> results;
       for (const auto& idx : args.indexes) {
         results.emplace(idx, RunWrite(idx, dataset, type, args, options));
       }

@@ -22,10 +22,9 @@ int main(int argc, char** argv) {
     std::printf("%-10s %12s %12s %12s %12s %12s\n", "index", "search", "insert", "smo",
                 "maintenance", "total");
     for (const auto& idx : args.indexes) {
-      std::unique_ptr<DiskIndex> index;
-      (void)RunWriteWithIndex(idx, dataset, WorkloadType::kWriteOnly, args, options,
-                              &index);
-      const OpBreakdown& b = index->breakdown();
+      std::unique_ptr<ShardedEngine> engine;
+      (void)RunWrite(idx, dataset, WorkloadType::kWriteOnly, args, options, {}, &engine);
+      const OpBreakdown& b = engine->shard(0)->breakdown();
       double total = 0.0;
       std::printf("%-10s", idx.c_str());
       for (OpPhase phase : {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo,

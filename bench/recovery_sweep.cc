@@ -20,6 +20,7 @@
 // replay_ms ride along as extra numeric columns).
 
 #include <algorithm>
+#include <memory>
 
 #include "bench_common.h"
 #include "recovery/durable_store.h"
@@ -74,14 +75,12 @@ int main(int argc, char** argv) {
             return 2;
           }
           options.checkpoint_every_ops = point.checkpoint_every;
-          DurableSlot slot(options.block_size);
+          // The store outlives the engine: its slot 0 is what recovery reads
+          // after the simulated crash below.
+          DurableStore store(options.block_size);
           const bool durable = options.durability != DurabilityPolicy::kNone;
-          if (durable) options.durable_slot = &slot;
-          auto index = MakeIndex(index_name, options);
-          if (index == nullptr) {
-            std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-            return 2;
-          }
+          auto engine = std::make_unique<ShardedEngine>(EngineOptions{
+              .index_name = index_name, .index = options, .durable_store = &store});
           const bool grows = WorkloadGrowsDataset(type);
           const std::size_t dataset_keys =
               grows ? args.write_bulk + args.write_ops : args.write_bulk;
@@ -91,13 +90,13 @@ int main(int argc, char** argv) {
           spec.bulk_keys = args.write_bulk;
           spec.operations = args.write_ops;
           spec.seed = args.seed + 7;
-          const Workload w = BuildWorkload(keys, spec);
-          RunnerConfig config;
+          const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 1);
+          ConcurrentRunnerConfig config;
           config.check_lookups = true;  // all policies must answer identically
-          const RunResult result = MustRun(index.get(), w, config);
+          const ConcurrentRunResult result = MustRun(engine.get(), w, config);
 
           std::uint64_t merges = 0, checkpoints = 0, base_lsn = 0;
-          auto* buffered = dynamic_cast<UpdateBufferedIndex*>(index.get());
+          auto* buffered = dynamic_cast<UpdateBufferedIndex*>(engine->shard(0));
           if (buffered != nullptr) {
             merges = buffered->merges_completed();
             checkpoints = buffered->checkpoints_written();
@@ -112,17 +111,17 @@ int main(int argc, char** argv) {
           if (durable) {
             const std::size_t tail = std::min<std::size_t>(w.bulk.size(), 5000);
             for (std::size_t i = 0; i < tail; ++i) {
-              const Status status = index->Insert(w.bulk[i].key, w.bulk[i].key + 977);
+              const Status status = engine->Insert(w.bulk[i].key, w.bulk[i].key + 977);
               if (!status.ok()) {
                 std::fprintf(stderr, "FATAL tail insert on %s: %s\n", index_name.c_str(),
                              status.ToString().c_str());
                 return 1;
               }
             }
-            index.reset();  // crash: no flush, no final checkpoint
+            engine.reset();  // crash: no flush, no final checkpoint
             RecoveryResult recovered;
             const Status status =
-                RecoveryManager::Recover(&slot, index_name, options, w.bulk, &recovered);
+                RecoveryManager::Recover(store.slot(0), index_name, options, w.bulk, &recovered);
             replay_ms = recovered.ReplayMicros(ssd) / 1000.0;
             if (!status.ok()) {
               std::fprintf(stderr, "FATAL recovery on %s: %s\n", index_name.c_str(),

@@ -12,8 +12,8 @@
 namespace liod::bench {
 
 struct SearchRun {
-  RunResult lookup;
-  RunResult scan;
+  ConcurrentRunResult lookup;
+  ConcurrentRunResult scan;
 };
 
 /// Runs Lookup-Only and Scan-Only (Section 5.2) for one index on one dataset.
@@ -22,17 +22,12 @@ inline SearchRun RunSearchPair(const std::string& index_name, const std::string&
   const auto keys = MakeDataset(dataset, args.search_keys, args.seed);
   SearchRun out;
   for (int phase = 0; phase < 2; ++phase) {
-    auto index = MakeIndex(index_name, options);
-    if (index == nullptr) {
-      std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-      std::exit(2);
-    }
+    ShardedEngine engine({.index_name = index_name, .index = options});
     WorkloadSpec spec;
     spec.type = phase == 0 ? WorkloadType::kLookupOnly : WorkloadType::kScanOnly;
     spec.operations = args.search_ops;
     spec.seed = args.seed + 1;
-    const Workload w = BuildWorkload(keys, spec);
-    (phase == 0 ? out.lookup : out.scan) = MustRun(index.get(), w);
+    (phase == 0 ? out.lookup : out.scan) = MustRun(&engine, BuildConcurrentWorkload(keys, spec, 1));
   }
   return out;
 }

@@ -67,12 +67,7 @@ int main(int argc, char** argv) {
           options.update_buffer_merge_mode = point.mode;
           options.update_buffer_merge_threshold = point.threshold;
           telemetry.Apply(&options);
-          auto index = MakeIndex(index_name, options);
-          if (index == nullptr) {
-            std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-            return 2;
-          }
-          telemetry.EnsureSampler();
+          ShardedEngine engine({.index_name = index_name, .index = options});
           const bool grows = WorkloadGrowsDataset(type);
           const std::size_t dataset_keys =
               grows ? args.write_bulk + args.write_ops : args.write_bulk;
@@ -82,14 +77,14 @@ int main(int argc, char** argv) {
           spec.bulk_keys = args.write_bulk;
           spec.operations = args.write_ops;
           spec.seed = args.seed + 5;
-          const Workload w = BuildWorkload(keys, spec);
-          RunnerConfig config;
+          ConcurrentRunnerConfig config;
           config.check_lookups = true;  // all configs must answer identically
-          telemetry.Apply(&config);
-          const RunResult result = MustRun(index.get(), w, config);
+          config.before_ops = [&] { telemetry.EnsureSampler(); };
+          const ConcurrentRunResult result =
+              MustRun(&engine, BuildConcurrentWorkload(keys, spec, 1), config);
 
           std::uint64_t merges = 0, spills = 0;
-          if (auto* buffered = dynamic_cast<UpdateBufferedIndex*>(index.get())) {
+          if (auto* buffered = dynamic_cast<UpdateBufferedIndex*>(engine.shard(0))) {
             merges = buffered->merges_completed();
             spills = buffered->total_spills();
           }

@@ -5,6 +5,8 @@
 // used by Figures 5, 6, 9, 10, and 12.
 
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "bench_common.h"
 
@@ -19,38 +21,25 @@ inline const std::vector<WorkloadType>& WriteWorkloads() {
 
 /// Runs one write-containing workload for one index on one dataset; dataset
 /// keys are drawn once (bulk sample + disjoint insert pool, Section 5.2).
-inline RunResult RunWrite(const std::string& index_name, const std::string& dataset,
-                          WorkloadType type, const BenchArgs& args,
-                          const IndexOptions& options, RunnerConfig config = {}) {
-  auto index = MakeIndex(index_name, options);
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index %s\n", index_name.c_str());
-    std::exit(2);
-  }
+/// When `engine_out` is non-null the one-shard engine is handed back, so
+/// callers can inspect the index's phase breakdown (shard(0)->breakdown()).
+inline ConcurrentRunResult RunWrite(const std::string& index_name, const std::string& dataset,
+                                    WorkloadType type, const BenchArgs& args,
+                                    const IndexOptions& options,
+                                    const ConcurrentRunnerConfig& config = {},
+                                    std::unique_ptr<ShardedEngine>* engine_out = nullptr) {
+  auto engine = std::make_unique<ShardedEngine>(
+      EngineOptions{.index_name = index_name, .index = options});
   const auto keys = MakeDataset(dataset, args.write_bulk + args.write_ops, args.seed);
   WorkloadSpec spec;
   spec.type = type;
   spec.bulk_keys = args.write_bulk;
   spec.operations = args.write_ops;
   spec.seed = args.seed + 3;
-  const Workload w = BuildWorkload(keys, spec);
-  return MustRun(index.get(), w, config);
-}
-
-/// Same but also returns the index so callers can inspect phase breakdowns.
-inline RunResult RunWriteWithIndex(const std::string& index_name,
-                                   const std::string& dataset, WorkloadType type,
-                                   const BenchArgs& args, const IndexOptions& options,
-                                   std::unique_ptr<DiskIndex>* index_out) {
-  *index_out = MakeIndex(index_name, options);
-  const auto keys = MakeDataset(dataset, args.write_bulk + args.write_ops, args.seed);
-  WorkloadSpec spec;
-  spec.type = type;
-  spec.bulk_keys = args.write_bulk;
-  spec.operations = args.write_ops;
-  spec.seed = args.seed + 3;
-  const Workload w = BuildWorkload(keys, spec);
-  return MustRun(index_out->get(), w);
+  ConcurrentRunResult result =
+      MustRun(engine.get(), BuildConcurrentWorkload(keys, spec, 1), config);
+  if (engine_out != nullptr) *engine_out = std::move(engine);
+  return result;
 }
 
 }  // namespace liod::bench

@@ -15,8 +15,8 @@
 #include <string>
 
 #include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   spec.type = type;
   spec.bulk_keys = 50'000;
   spec.operations = 20'000;
-  const Workload w = BuildWorkload(keys, spec);
+  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 1);
 
   const DiskModel hdd = DiskModel::Hdd();
   std::printf("%-10s %14s %14s %12s\n", "index", "tput (ops/s)", "blocks/op", "size MiB");
@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
   for (const auto& name : StudiedIndexNames()) {
     IndexOptions options;
     options.alex_max_data_node_slots = 4096;
-    auto index = MakeIndex(name, options);
-    RunResult result;
-    const Status status = RunWorkload(index.get(), w, RunnerConfig{}, &result);
+    ShardedEngine engine({.index_name = name, .index = options});  // one shard
+    ConcurrentRunResult result;
+    const Status status = RunConcurrentWorkload(&engine, w, {}, &result);
     if (!status.ok()) {
       std::printf("%-10s failed: %s\n", name.c_str(), status.ToString().c_str());
       continue;

@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -33,13 +32,14 @@ int main(int argc, char** argv) {
     double tput[2] = {0, 0};
     const char* names[2] = {"btree", "pgm"};
     for (int i = 0; i < 2; ++i) {
-      auto index = MakeIndex(names[i], IndexOptions{});
+      ShardedEngine engine({.index_name = names[i], .index = IndexOptions{}});  // one shard
       WorkloadSpec spec;
       spec.type = type;
       spec.bulk_keys = rows / 3;
       spec.operations = rows / 3;
-      RunResult result;
-      CheckOk(RunWorkload(index.get(), BuildWorkload(keys, spec), RunnerConfig{}, &result),
+      ConcurrentRunResult result;
+      CheckOk(RunConcurrentWorkload(&engine, BuildConcurrentWorkload(keys, spec, 1), {},
+                                    &result),
               "ingest run");
       tput[i] = result.ThroughputOps(hdd);
     }

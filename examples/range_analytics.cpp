@@ -10,9 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -29,13 +28,13 @@ int main(int argc, char** argv) {
   const char* contenders[] = {"btree",       "alex",       "lipp",
                               "hybrid-alex", "hybrid-lipp"};
   for (const char* name : contenders) {
-    auto index = MakeIndex(name, IndexOptions{});
+    ShardedEngine engine({.index_name = name, .index = IndexOptions{}});  // one shard
     WorkloadSpec spec;
     spec.type = WorkloadType::kScanOnly;
     spec.operations = 3'000;
     spec.scan_length = scan_len;
-    RunResult result;
-    CheckOk(RunWorkload(index.get(), BuildWorkload(keys, spec), RunnerConfig{}, &result),
+    ConcurrentRunResult result;
+    CheckOk(RunConcurrentWorkload(&engine, BuildConcurrentWorkload(keys, spec, 1), {}, &result),
             "scan run");
     std::printf("%-14s %14.1f %14.2f\n", name, result.ThroughputOps(ssd),
                 result.AvgBlocksReadPerOp());

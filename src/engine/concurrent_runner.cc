@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "kv/request.h"
@@ -61,6 +62,20 @@ Status RunTape(ShardedEngine* engine, const std::vector<WorkloadOp>& ops,
   return Status::Ok();
 }
 
+/// q-quantile (floor-index convention) of `value(sample)` over every
+/// thread's samples; 0 without samples.
+template <typename Value>
+double SampleQuantile(const std::vector<ThreadRunResult>& threads, double q,
+                      const Value& value) {
+  std::vector<double> values;
+  for (const ThreadRunResult& t : threads) {
+    for (const OpSample& s : t.samples) values.push_back(value(s));
+  }
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[std::min(values.size() - 1, static_cast<std::size_t>(q * values.size()))];
+}
+
 }  // namespace
 
 double ConcurrentRunResult::MakespanUs(const DiskModel& model) const {
@@ -103,30 +118,32 @@ double ConcurrentRunResult::AvgBlocksReadPerOp() const {
                                static_cast<double>(operations);
 }
 
+double ConcurrentRunResult::AvgBlocksPerOp() const {
+  return operations == 0 ? 0.0
+                         : static_cast<double>(io.TotalIo()) / static_cast<double>(operations);
+}
+
 double ConcurrentRunResult::LatencyPercentileUs(double q, const DiskModel& model) const {
-  std::vector<double> latencies;
+  return SampleQuantile(threads, q, [&](const OpSample& s) { return s.LatencyUs(model); });
+}
+
+double ConcurrentRunResult::LatencyStdDevUs(const DiskModel& model) const {
+  double sum = 0.0, sum_sq = 0.0, n = 0.0;
   for (const ThreadRunResult& t : threads) {
     for (const OpSample& s : t.samples) {
-      latencies.push_back(RunResult::SampleLatencyUs(s, model));
+      const double l = s.LatencyUs(model);
+      sum += l;
+      sum_sq += l * l;
+      n += 1.0;
     }
   }
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t idx =
-      std::min(latencies.size() - 1, static_cast<std::size_t>(q * latencies.size()));
-  return latencies[idx];
+  if (n == 0.0) return 0.0;
+  const double mean = sum / n;
+  return std::sqrt(std::max(0.0, sum_sq / n - mean * mean));
 }
 
 double ConcurrentRunResult::WallPercentileUs(double q) const {
-  std::vector<double> latencies;
-  for (const ThreadRunResult& t : threads) {
-    for (const OpSample& s : t.samples) latencies.push_back(s.cpu_us);
-  }
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t idx =
-      std::min(latencies.size() - 1, static_cast<std::size_t>(q * latencies.size()));
-  return latencies[idx];
+  return SampleQuantile(threads, q, [](const OpSample& s) { return double{s.cpu_us}; });
 }
 
 Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& workload,

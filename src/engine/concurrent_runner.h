@@ -9,10 +9,22 @@
 #include "common/status.h"
 #include "engine/sharded_engine.h"
 #include "storage/disk_model.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
+
+/// Per-operation measurement: CPU time plus the exact block I/O, so modeled
+/// latency can be computed for any disk model after the fact.
+struct OpSample {
+  float cpu_us;
+  std::uint32_t reads;
+  std::uint32_t writes;
+
+  /// Modeled latency of this op under `model`, in microseconds.
+  double LatencyUs(const DiskModel& model) const {
+    return cpu_us + reads * model.read_latency_us + writes * model.write_latency_us;
+  }
+};
 
 /// Result of one thread's op tape.
 struct ThreadRunResult {
@@ -63,9 +75,14 @@ struct ConcurrentRunResult {
   /// Modeled throughput in operations/second: operations / makespan.
   double ThroughputOps(const DiskModel& model) const;
   double AvgBlocksReadPerOp() const;
+  /// Blocks read plus written per operation.
+  double AvgBlocksPerOp() const;
   /// p-quantile (e.g. 0.99) of modeled per-op latency over every thread's
   /// samples. Requires record_samples.
   double LatencyPercentileUs(double q, const DiskModel& model) const;
+  /// Standard deviation of modeled per-op latency over every thread's
+  /// samples. Requires record_samples.
+  double LatencyStdDevUs(const DiskModel& model) const;
   /// p-quantile of MEASURED per-op wall time over every thread's samples (on
   /// a real device this includes the actual I/O). Requires record_samples.
   double WallPercentileUs(double q) const;
@@ -91,6 +108,11 @@ struct ConcurrentRunnerConfig {
 /// concurrently, one std::thread per tape. Tapes from BuildConcurrentWorkload
 /// only look up keys they know are live, so check_lookups is safe under any
 /// interleaving. Returns the first per-thread error, if any.
+///
+/// The one workload runner: the paper figures run it at 1 thread x 1 shard
+/// (a one-shard engine and BuildConcurrentWorkload(keys, spec, 1)), which is
+/// the paper's single-threaded evaluation of one index; engine.shard(0) is
+/// that index.
 Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& workload,
                              const ConcurrentRunnerConfig& config,
                              ConcurrentRunResult* result);

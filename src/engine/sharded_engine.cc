@@ -277,35 +277,34 @@ template <typename Op>
 Status ShardedEngine::RunOnShard(std::size_t s, bool write, IoStatsSnapshot* io,
                                  std::vector<IoStatsSnapshot>* shared_io, const Op& op) {
   Shard& shard = *shards_[s];
-  if (write || options_.shard_lock_mode == ShardLockMode::kExclusive) {
-    // Exclusive latch and snapshot-delta attribution (exact because nothing
-    // else touches this shard's counters while the latch is held).
-    std::lock_guard<std::shared_mutex> lock(shard.mu);
-    const IoStatsSnapshot before = shard.index->io_stats().snapshot();
-    const Status status = op(shard.index.get());
-    if (io != nullptr) *io += shard.index->io_stats().snapshot() - before;
-    return status;
-  }
-  if (!shard.mu.try_lock_shared()) {
+  const bool exclusive = write || options_.shard_lock_mode == ShardLockMode::kExclusive;
+  std::unique_lock<std::shared_mutex> exclusive_lock(shard.mu, std::defer_lock);
+  std::shared_lock<std::shared_mutex> shared_lock(shard.mu, std::defer_lock);
+  if (exclusive) {
+    exclusive_lock.lock();
+  } else if (!shared_lock.try_lock()) {
     // A writer (or latch contention) is in the way: count the blocking
     // acquisition, then wait.
     BlockingSharedAcquire(s, shard);
+    shared_lock = std::shared_lock<std::shared_mutex>(shard.mu, std::adopt_lock);
   }
-  std::shared_lock<std::shared_mutex> lock(shard.mu, std::adopt_lock);
+  // Only shared-latch reads feed `shared_io`: they are the I/O that did not
+  // serialize against other readers.
+  std::vector<IoStatsSnapshot>* const shared_sink = exclusive ? nullptr : shared_io;
+  if (io == nullptr && shared_sink == nullptr) return op(shard.index.get());
+  // Thread-exact attribution under either latch: the tally routes each
+  // counter bump to the thread (and therefore the op) that performed it, so
+  // parallel readers on this shard never see each other's I/O.
   IoStatsSnapshot delta;
   Status status;
   {
-    // Thread-exact attribution: parallel readers on this shard interleave
-    // their counter bumps, so a snapshot delta would charge this op with the
-    // other readers' I/O. The tally routes each bump to the thread (and
-    // therefore the op) that performed it.
     IoStats::ThreadTally tally(&shard.index->io_stats(), &delta);
     status = op(shard.index.get());
   }
   if (io != nullptr) *io += delta;
-  if (shared_io != nullptr) {
-    if (shared_io->size() < shards_.size()) shared_io->resize(shards_.size());
-    (*shared_io)[s] += delta;
+  if (shared_sink != nullptr) {
+    if (shared_sink->size() < shards_.size()) shared_sink->resize(shards_.size());
+    (*shared_sink)[s] += delta;
   }
   return status;
 }

@@ -35,10 +35,10 @@ struct EngineOptions {
 
   /// Intra-shard concurrency of the read path (common/options.h). Writers
   /// always hold the shard exclusively. kExclusive (default) keeps the
-  /// historical one-mutex-per-shard behavior, including bit-exact per-op
-  /// snapshot-delta I/O attribution. kShared lets any number of Lookup/Scan
-  /// run in parallel on one shard under a reader/writer latch. Both modes
-  /// perform identical counted I/O for the same op sequence; only timing
+  /// historical one-mutex-per-shard behavior. kShared lets any number of
+  /// Lookup/Scan run in parallel on one shard under a reader/writer latch.
+  /// Both modes perform identical counted I/O for the same op sequence and
+  /// attribute it per op the same way (IoStats::ThreadTally); only timing
   /// (and the modeled makespan) differs.
   ShardLockMode shard_lock_mode = ShardLockMode::kExclusive;
 
@@ -130,8 +130,8 @@ class ShardedEngine {
   /// shared GroupCommitWindow, so a batch of writes group-commits together),
   /// under the configured read mode otherwise. Within a shard, requests
   /// execute in batch order; across shards, shard order wins (documented
-  /// relaxation -- single-request batches are unaffected, and both runners
-  /// drive batch size 1, which keeps their op interleaving and counted I/O
+  /// relaxation -- single-request batches are unaffected, and the runner
+  /// drives batch size 1, which keeps its op interleaving and counted I/O
   /// bit-exact with the historical per-op calls). A one-request batch
   /// allocates no scratch.
   ///
@@ -159,12 +159,11 @@ class ShardedEngine {
 
   /// Point lookup on the owning shard. When `io` is non-null, the exact
   /// block I/O this call performed is accumulated into it (per-thread I/O
-  /// attribution for the concurrent runner): snapshot-delta under the
-  /// exclusive mode, thread-exact tally under shared. When
-  /// `shared_io` is non-null and the op ran under a SHARED latch, the same
-  /// delta is also accumulated into (*shared_io)[owning shard] (resized to
-  /// num_shards() as needed) -- the makespan model needs to know which I/O
-  /// did not serialize against other readers.
+  /// attribution for the runner), tallied on the calling thread under either
+  /// latch. When `shared_io` is non-null and the op ran under a SHARED
+  /// latch, the same delta is also accumulated into (*shared_io)[owning
+  /// shard] (resized to num_shards() as needed) -- the makespan model needs
+  /// to know which I/O did not serialize against other readers.
   Status Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io = nullptr,
                 std::vector<IoStatsSnapshot>* shared_io = nullptr);
 

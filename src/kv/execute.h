@@ -11,10 +11,10 @@ namespace liod::kv {
 
 /// THE per-operation dispatch of the tree: executes `requests` against a
 /// single DiskIndex, in order, filling `responses` (which must be the same
-/// length; each slot is Reset first). The sequential runner calls this
-/// directly; ShardedEngine::Execute calls it under the owning shard's latch
-/// for every request it routes -- so there is exactly one switch in the
-/// codebase that turns an OpKind into index calls.
+/// length; each slot is Reset first). ShardedEngine::Execute calls it under
+/// the owning shard's latch for every request it routes, the workload runner
+/// included (at 1 thread x 1 shard for the paper figures) -- so there is
+/// exactly one switch in the codebase that turns an OpKind into index calls.
 ///
 /// Per-op outcomes land in responses[i].code. Execution never stops early:
 /// a failed op does not prevent later ops in the span from running (the
@@ -31,7 +31,7 @@ namespace liod::kv {
 ///    records; scan_count == 0 => kInvalidArgument.
 ///  - kReadModifyWrite: read current value (found/payload report it), then
 ///    upsert the request payload -- one lookup plus one insert, the YCSB-F
-///    recipe both runners used.
+///    recipe.
 Status ExecuteOnIndex(DiskIndex* index, std::span<const Request> requests,
                       std::span<Response> responses);
 

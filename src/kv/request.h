@@ -11,10 +11,10 @@
 namespace liod::kv {
 
 /// The unified KV operation vocabulary. Every caller in the tree -- the
-/// sequential runner, the ConcurrentRunner, liod_cli, the examples, and the
-/// socket server -- expresses operations as these requests and dispatches
-/// them through ONE path: kv::ExecuteOnIndex (bare DiskIndex) or
-/// ShardedEngine::Execute (sharded engine), the latter built on the former.
+/// ConcurrentRunner (and through it liod_cli, the paper-figure benches and
+/// the examples) and the socket server -- expresses operations as these
+/// requests and dispatches them through ONE path: ShardedEngine::Execute,
+/// built on kv::ExecuteOnIndex (one bare DiskIndex).
 /// Numeric values are the wire encoding (src/server/protocol.h): append-only,
 /// never renumber.
 enum class OpKind : std::uint8_t {

@@ -118,6 +118,17 @@ void KvServer::AcceptLoop(int listen_fd, bool tcp) {
     if (fd < 0) {
       if (draining_.load()) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
+        // Out of descriptors or memory. The pending connection stays queued
+        // and keeps the listener readable, so an immediate retry would spin:
+        // free what ended conversations hold, back off, then try again.
+        {
+          std::lock_guard<std::mutex> lock(conns_mu_);
+          ReleaseFinishedLocked();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       return;  // listener closed or broken: stop accepting
     }
     if (tcp) SetTcpNoDelay(fd);
@@ -129,24 +140,27 @@ void KvServer::AcceptLoop(int listen_fd, bool tcp) {
     }
     if (options_.metrics != nullptr) options_.metrics->Add(connections_id_);
     std::lock_guard<std::mutex> lock(conns_mu_);
-    // Release ended conversations. A finished reader has answered every
-    // frame it accepted, so no thread touches its fd any more. Shutdown
-    // snapshots conns_ only after the accept threads join, so it never sees
-    // a closed (and possibly reused) fd number.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      Connection& done = **it;
-      if (!done.finished.load()) {
-        ++it;
-        continue;
-      }
-      done.reader.join();
-      ::close(done.fd);
-      it = conns_.erase(it);
-    }
+    ReleaseFinishedLocked();
     // Started under conns_mu_, so the other listener's accept thread never
     // reads conn->reader while it is being assigned.
     conn->reader = std::thread(&KvServer::ReaderLoop, this, conn);
     conns_.push_back(std::move(conn));
+  }
+}
+
+void KvServer::ReleaseFinishedLocked() {
+  // A finished reader has answered every frame it accepted, so no thread
+  // touches its fd any more. Shutdown snapshots conns_ only after the accept
+  // threads join, so it never sees a closed (and possibly reused) fd number.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Connection& done = **it;
+    if (!done.finished.load()) {
+      ++it;
+      continue;
+    }
+    done.reader.join();
+    ::close(done.fd);
+    it = conns_.erase(it);
   }
 }
 
@@ -278,8 +292,7 @@ void KvServer::ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatc
   }
   if (slow_ring_ != nullptr && queue_us + execute_us >= options_.slow_op_us) {
     // The batch is the admission/execution unit, so its latencies are
-    // attributed to each of its ops (exact for single-op frames, which is
-    // what both runners send).
+    // attributed to each of its ops (exact for single-op frames).
     for (const kv::Request& req : batch->requests) {
       SlowOpRecord rec;
       rec.kind = static_cast<std::uint8_t>(req.kind);

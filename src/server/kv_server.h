@@ -156,10 +156,16 @@ class KvServer {
     std::chrono::steady_clock::time_point decoded;
   };
 
-  /// Accepts connections until the listener closes. Each accept first
-  /// releases the connections whose readers have finished. `tcp` sets
-  /// TCP_NODELAY on every accepted connection.
+  /// Accepts connections until the server drains or the listener closes.
+  /// Each accept first releases the connections whose readers have
+  /// finished. Running out of descriptors or memory (EMFILE, ENFILE,
+  /// ENOBUFS, ENOMEM) releases them too, then retries after a short sleep
+  /// instead of giving up. `tcp` sets TCP_NODELAY on every accepted
+  /// connection.
   void AcceptLoop(int listen_fd, bool tcp);
+  /// Joins and closes every connection whose reader has finished. Requires
+  /// conns_mu_.
+  void ReleaseFinishedLocked();
   void ReaderLoop(const std::shared_ptr<Connection>& conn);
   void WorkerLoop();
   /// Executes one frame and answers it: the queue-wait (decode to start of

@@ -95,14 +95,13 @@ class IoStats {
   /// counter bump the CURRENT THREAD performs on `target` is also added to
   /// `*sink` (a plain snapshot, touched only by this thread).
   ///
-  /// Why it exists: the engine's historical per-op attribution is a
-  /// snapshot delta around the operation, which is exact only while the
-  /// shard lock is exclusive. Under shared locking, parallel
-  /// readers on one shard would each see the others' bumps inside their own
-  /// delta and double-count. The tally routes each bump to exactly the
-  /// thread that performed it. Bumps to OTHER IoStats instances (e.g. a
-  /// cross-shard writeback under a shared buffer pool) are not tallied,
-  /// matching the snapshot-delta semantics it replaces.
+  /// Why it exists: it is the engine's per-op I/O attribution under both
+  /// shard latches. A snapshot delta around an op is exact only while the
+  /// shard latch is exclusive: under shared latching, parallel readers on
+  /// one shard would each see the others' bumps inside their own delta and
+  /// double-count. The tally routes each bump to exactly the thread that
+  /// performed it. Bumps to OTHER IoStats instances (e.g. a cross-shard
+  /// writeback under a shared buffer pool) are not tallied.
   ///
   /// Nests as a tee: the active tallies form a per-thread stack, and a bump
   /// is added to EVERY frame whose target matches, so an outer tally (the

@@ -336,15 +336,6 @@ ConcurrentWorkload BuildConcurrentWorkload(const std::vector<Key>& dataset_keys,
   return out;
 }
 
-Workload BuildWorkload(const std::vector<Key>& dataset_keys, const WorkloadSpec& spec) {
-  ConcurrentWorkload cw = BuildConcurrentWorkload(dataset_keys, spec, 1);
-  Workload w;
-  w.bulk = std::move(cw.bulk);
-  w.ops = std::move(cw.thread_ops[0]);
-  w.scan_length = cw.scan_length;
-  return w;
-}
-
 kv::Request ToRequest(const WorkloadOp& op, std::size_t scan_length) {
   kv::Request req;
   req.key = op.key;

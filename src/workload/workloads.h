@@ -72,13 +72,6 @@ struct WorkloadOp {
   friend bool operator==(const WorkloadOp&, const WorkloadOp&) = default;
 };
 
-/// A fully materialized workload: the bulkload set plus the operation tape.
-struct Workload {
-  std::vector<Record> bulk;  // sorted, unique
-  std::vector<WorkloadOp> ops;
-  std::size_t scan_length = 100;
-};
-
 /// A workload materialized for M client threads: one shared bulkload set plus
 /// one deterministic op tape per thread (thread t's tape is generated from
 /// DeriveSeed(spec.seed, t), and insert keys are dealt disjointly across
@@ -90,24 +83,19 @@ struct ConcurrentWorkload {
 };
 
 /// Materializes a workload over the given dataset keys (sorted, unique),
-/// following Section 5.2: write workloads bulkload a uniform sample and
-/// insert the remaining keys in random order; mixed workloads interleave in
-/// the paper's exact patterns; lookups draw uniformly from live keys. YCSB
-/// mixes draw keys scrambled-Zipfian and follow the standard read/write
-/// fractions documented on WorkloadType.
-Workload BuildWorkload(const std::vector<Key>& dataset_keys, const WorkloadSpec& spec);
-
-/// Materializes the same workload split across `num_threads` op tapes.
-/// `spec.operations` is the total across threads. With num_threads == 1 the
-/// single tape is identical to BuildWorkload's for the same spec and seed,
-/// which is the determinism bridge between the sequential and concurrent
-/// runners.
+/// split across `num_threads` op tapes, following Section 5.2: write
+/// workloads bulkload a uniform sample and insert the remaining keys in
+/// random order; mixed workloads interleave in the paper's exact patterns;
+/// lookups draw uniformly from live keys. YCSB mixes draw keys
+/// scrambled-Zipfian and follow the standard read/write fractions documented
+/// on WorkloadType. `spec.operations` is the total across threads; the paper
+/// figures use one thread.
 ConcurrentWorkload BuildConcurrentWorkload(const std::vector<Key>& dataset_keys,
                                            const WorkloadSpec& spec,
                                            std::size_t num_threads);
 
 /// The kv::Request equivalent of one workload op (scans carry the workload's
-/// scan_length, saturated at UINT32_MAX). Both runners translate their tapes
+/// scan_length, saturated at UINT32_MAX). The runner translates its tapes
 /// through this, so the tape vocabulary and the unified KV vocabulary cannot
 /// drift apart.
 kv::Request ToRequest(const WorkloadOp& op, std::size_t scan_length);

@@ -9,26 +9,26 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
 namespace {
 
-RunResult MustRunYcsbA(const IndexOptions& options, const std::string& index_name = "btree") {
-  auto index = MakeIndex(index_name, options);
-  EXPECT_NE(index, nullptr);
+ConcurrentRunResult MustRunYcsbA(const IndexOptions& options,
+                                 const std::string& index_name = "btree") {
+  ShardedEngine engine({.index_name = index_name, .index = options});
   const auto keys = MakeDataset("fb", 20'000, 42);
   WorkloadSpec spec;
   spec.type = WorkloadType::kYcsbA;  // 50% reads / 50% updates, zipfian
   spec.operations = 10'000;
   spec.seed = 7;
-  const Workload w = BuildWorkload(keys, spec);
-  RunnerConfig config;
+  ConcurrentRunnerConfig config;
   config.check_lookups = true;  // every key is live: any miss is corruption
-  RunResult result;
-  const Status status = RunWorkload(index.get(), w, config, &result);
+  ConcurrentRunResult result;
+  const Status status =
+      RunConcurrentWorkload(&engine, BuildConcurrentWorkload(keys, spec, 1), config, &result);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return result;
 }
@@ -51,7 +51,7 @@ TEST(BufferManagerWorkload, LruHitRateMonotonicallyNonDecreasingWithBudget) {
   double previous = -1.0;
   std::uint64_t previous_reads = ~0ull;
   for (std::size_t budget : {1u, 8u, 64u, 256u, 1024u}) {
-    const RunResult result =
+    const ConcurrentRunResult result =
         MustRunYcsbA(BufferedOptions(budget, BufferPolicy::kLru, false));
     const double hit_rate = result.io.OverallHitRate();
     EXPECT_GE(hit_rate, previous) << "budget " << budget;
@@ -66,9 +66,8 @@ TEST(BufferManagerWorkload, WriteBackStrictlyReducesLeafWritesOnUpdateHeavyMix) 
   // YCSB-A's zipfian updates hit hot leaves repeatedly; write-back coalesces
   // those device writes until eviction/flush. The end-of-run flush is inside
   // the measured window, so the saving is real, not deferred accounting.
-  const RunResult through =
-      MustRunYcsbA(BufferedOptions(64, BufferPolicy::kLru, false));
-  const RunResult back = MustRunYcsbA(BufferedOptions(64, BufferPolicy::kLru, true));
+  const ConcurrentRunResult through = MustRunYcsbA(BufferedOptions(64, BufferPolicy::kLru, false));
+  const ConcurrentRunResult back = MustRunYcsbA(BufferedOptions(64, BufferPolicy::kLru, true));
   EXPECT_LT(back.io.WritesFor(FileClass::kLeaf), through.io.WritesFor(FileClass::kLeaf));
   // The read side is untouched by deferring writes.
   EXPECT_EQ(back.io.TotalReads(), through.io.TotalReads());
@@ -83,8 +82,7 @@ TEST(BufferManagerWorkload, PolicyAndModeNeverChangeAnswers) {
   for (BufferPolicy policy :
        {BufferPolicy::kLru, BufferPolicy::kClock, BufferPolicy::kFifo}) {
     for (bool write_back : {false, true}) {
-      const RunResult result =
-          MustRunYcsbA(BufferedOptions(16, policy, write_back));
+      const ConcurrentRunResult result = MustRunYcsbA(BufferedOptions(16, policy, write_back));
       if (expected_records == 0) {
         expected_records = result.stats_after.num_records;
       } else {
@@ -101,8 +99,8 @@ TEST(BufferManagerWorkload, PerFileBudgetsStillSweepWithoutSharedPool) {
   small.buffer_pool_blocks = 1;
   IndexOptions large = BufferedOptions(0, BufferPolicy::kLru, false);
   large.buffer_pool_blocks = 512;
-  const RunResult r_small = MustRunYcsbA(small);
-  const RunResult r_large = MustRunYcsbA(large);
+  const ConcurrentRunResult r_small = MustRunYcsbA(small);
+  const ConcurrentRunResult r_large = MustRunYcsbA(large);
   EXPECT_LT(r_large.io.TotalReads(), r_small.io.TotalReads());
   EXPECT_GT(r_large.io.OverallHitRate(), r_small.io.OverallHitRate());
 }
@@ -124,7 +122,7 @@ TEST(BufferManagerWorkload, ZeroPerFileBudgetSurfacesInvalidArgument) {
 TEST(BufferManagerWorkload, MemoryResidentInnerStaysUncountedUnderSharedBudget) {
   IndexOptions options = BufferedOptions(8, BufferPolicy::kLru, true);
   options.memory_resident_inner = true;
-  const RunResult result = MustRunYcsbA(options);
+  const ConcurrentRunResult result = MustRunYcsbA(options);
   EXPECT_EQ(result.io.ReadsFor(FileClass::kInner), 0u);
   EXPECT_EQ(result.io.WritesFor(FileClass::kInner), 0u);
   EXPECT_EQ(result.io.ReadsFor(FileClass::kMeta), 0u);
@@ -136,7 +134,7 @@ TEST(BufferManagerWorkload, SharedBudgetSpansInnerAndLeafFiles) {
   // With a budget far larger than the whole index, every file's working set
   // stays resident: after the first touch of each block there are no misses,
   // shared across inner and leaf files alike.
-  const RunResult result =
+  const ConcurrentRunResult result =
       MustRunYcsbA(BufferedOptions(1u << 20, BufferPolicy::kLru, false));
   // Each distinct block is read from the device at most once (write misses
   // allocate their frame without a device read, so reads <= misses).

@@ -12,9 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -66,11 +65,12 @@ constexpr PinnedIo kPinned[] = {
      {0, 0, 0, 0}, {0, 37, 295, 0}},
 };
 
-RunResult RunPinnedWorkload(const std::string& name) {
+// One thread on a one-shard engine: the single-index runs behind the paper
+// figures.
+ConcurrentRunResult RunPinnedWorkload(const std::string& name) {
   IndexOptions options;  // paper defaults: 4 KB blocks, buffer 1, LRU, write-through
   options.alex_max_data_node_slots = 4096;
-  auto index = MakeIndex(name, options);
-  EXPECT_NE(index, nullptr) << name;
+  ShardedEngine engine({.index_name = name, .index = options});
   const auto keys = MakeDataset("fb", 30'000, 42);
   WorkloadSpec spec;
   const bool hybrid = name.rfind("hybrid-", 0) == 0;
@@ -78,10 +78,9 @@ RunResult RunPinnedWorkload(const std::string& name) {
   spec.bulk_keys = 20'000;
   spec.operations = 10'000;
   spec.seed = 43;
-  const Workload w = BuildWorkload(keys, spec);
-  RunnerConfig config;
-  RunResult result;
-  const Status status = RunWorkload(index.get(), w, config, &result);
+  ConcurrentRunResult result;
+  const Status status =
+      RunConcurrentWorkload(&engine, BuildConcurrentWorkload(keys, spec, 1), {}, &result);
   EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
   return result;
 }
@@ -90,7 +89,7 @@ class BufferRegression : public ::testing::TestWithParam<PinnedIo> {};
 
 TEST_P(BufferRegression, PaperDefaultIoCountsMatchSeed) {
   const PinnedIo& pinned = GetParam();
-  const RunResult result = RunPinnedWorkload(pinned.index);
+  const ConcurrentRunResult result = RunPinnedWorkload(pinned.index);
   for (int i = 0; i < kNumFileClasses; ++i) {
     const char* klass = FileClassName(static_cast<FileClass>(i));
     EXPECT_EQ(result.io.reads[i], pinned.op_reads[i]) << pinned.index << " op reads " << klass;

@@ -13,12 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "storage/block_device.h"
 #include "storage/direct_device.h"
 #include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -329,23 +328,23 @@ TEST_P(DevicePinTest, YcsbACountedIoIdenticalAcrossDevices) {
   spec.type = WorkloadType::kYcsbA;
   spec.operations = 2000;
   spec.seed = 11;
-  const Workload workload = BuildWorkload(keys, spec);
+  const ConcurrentWorkload workload = BuildConcurrentWorkload(keys, spec, 1);
 
   auto run_on = [&](DeviceKind kind) {
     IndexOptions options;
     options.alex_max_data_node_slots = 1024;
     options.device = kind;
     if (kind != DeviceKind::kModeled) options.device_path = ::testing::TempDir();
-    auto index = MakeIndex(name, options);
-    RunResult result;
-    EXPECT_TRUE(RunWorkload(index.get(), workload, RunnerConfig{}, &result).ok())
+    ShardedEngine engine({.index_name = name, .index = options});
+    ConcurrentRunResult result;
+    EXPECT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &result).ok())
         << name << " on " << DeviceKindName(kind);
     return result;
   };
 
-  const RunResult modeled = run_on(DeviceKind::kModeled);
-  const RunResult file = run_on(DeviceKind::kFile);
-  const RunResult direct = run_on(DeviceKind::kDirect);
+  const ConcurrentRunResult modeled = run_on(DeviceKind::kModeled);
+  const ConcurrentRunResult file = run_on(DeviceKind::kFile);
+  const ConcurrentRunResult direct = run_on(DeviceKind::kDirect);
 
   ExpectSameCountedIo(modeled.io, file.io, name + ": modeled vs file");
   ExpectSameCountedIo(modeled.io, direct.io, name + ": modeled vs direct");

@@ -22,7 +22,6 @@
 #include "storage/disk_model.h"
 #include "test_util.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -226,9 +225,8 @@ TEST(EngineConcurrencyDeterminismTest, ReadOnlyTapeCountsIdenticallyAcrossModes)
     ConcurrentRunResult result;
     ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok());
     EXPECT_EQ(result.operations, spec.operations);
-    // Thread-exact attribution must cover the merged op-phase I/O exactly
-    // in every mode (tally under shared, snapshot-delta under
-    // exclusive).
+    // Thread-exact attribution (the per-thread tally, under either latch)
+    // must cover the merged op-phase I/O exactly in every mode.
     IoStatsSnapshot summed;
     for (const ThreadRunResult& t : result.threads) summed += t.io;
     ExpectSameCountedIo(summed, result.io, ShardLockModeName(mode));

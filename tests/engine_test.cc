@@ -9,7 +9,6 @@
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -272,48 +271,6 @@ TEST(ShardedEngineSharedBuffer, AllShardsShareOneManager) {
   EXPECT_NE(&engine2.shard(0)->buffer_manager(), &engine2.shard(1)->buffer_manager());
 }
 
-TEST(ConcurrentRunner, SingleThreadMatchesSequentialRunner) {
-  // Acceptance gate: with 1 shard / 1 thread the engine path must produce
-  // operation counts and I/O totals identical to the classic RunWorkload.
-  const auto keys = MakeDataset("osm", 20000, 11);
-  for (WorkloadType type : {WorkloadType::kBalanced, WorkloadType::kYcsbA,
-                            WorkloadType::kYcsbE, WorkloadType::kYcsbF}) {
-    WorkloadSpec spec;
-    spec.type = type;
-    spec.bulk_keys = 5000;
-    spec.operations = 2000;
-    spec.scan_length = 20;
-
-    const Workload sequential = BuildWorkload(keys, spec);
-    const ConcurrentWorkload concurrent = BuildConcurrentWorkload(keys, spec, 1);
-    ASSERT_EQ(concurrent.thread_ops.size(), 1u);
-    ASSERT_EQ(concurrent.thread_ops[0], sequential.ops) << WorkloadTypeName(type);
-    ASSERT_EQ(concurrent.bulk, sequential.bulk);
-
-    IndexOptions options;
-    options.alex_max_data_node_slots = 2048;
-    auto index = MakeIndex("btree", options);
-    RunnerConfig config;
-    config.check_lookups = true;
-    RunResult sequential_result;
-    ASSERT_TRUE(RunWorkload(index.get(), sequential, config, &sequential_result).ok());
-
-    ShardedEngine engine(SmallEngineOptions("btree", 1));
-    ConcurrentRunnerConfig cconfig;
-    cconfig.check_lookups = true;
-    ConcurrentRunResult concurrent_result;
-    ASSERT_TRUE(RunConcurrentWorkload(&engine, concurrent, cconfig, &concurrent_result).ok());
-
-    EXPECT_EQ(concurrent_result.operations, sequential_result.operations)
-        << WorkloadTypeName(type);
-    EXPECT_EQ(concurrent_result.io, sequential_result.io) << WorkloadTypeName(type);
-    EXPECT_EQ(concurrent_result.bulkload_io, sequential_result.bulkload_io)
-        << WorkloadTypeName(type);
-    EXPECT_EQ(concurrent_result.stats_after.num_records,
-              sequential_result.stats_after.num_records);
-  }
-}
-
 TEST(ConcurrentRunner, TapesPartitionOperationsAndInserts) {
   const auto keys = MakeDataset("fb", 12000, 21);
   WorkloadSpec spec;
@@ -427,6 +384,31 @@ TEST(ConcurrentRunner, RecordsPerThreadSamples) {
   const double p99 = result.LatencyPercentileUs(0.99, hdd);
   EXPECT_GT(p50, 0.0);
   EXPECT_GE(p99, p50);
+}
+
+TEST(ConcurrentRunner, OneByOneThroughputIsThePaperFormula) {
+  // The paper figures run one thread on one shard. With write-through and no
+  // update buffer nothing is flushed after the ops, so modeled throughput is
+  // exactly ops / (CPU + modeled I/O), the formula the figures have always
+  // used: a change to the makespan model must not move them.
+  const auto keys = MakeDataset("fb", 12000, 17);
+  WorkloadSpec spec;
+  spec.type = WorkloadType::kBalanced;
+  spec.bulk_keys = 6000;
+  spec.operations = 3000;
+  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 1);
+  for (const char* name : {"btree", "alex", "pgm"}) {
+    ShardedEngine engine(SmallEngineOptions(name, 1));
+    ConcurrentRunResult result;
+    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, {}, &result).ok()) << name;
+    ASSERT_EQ(result.threads.size(), 1u);
+    for (const DiskModel& model : {DiskModel::Hdd(), DiskModel::Ssd()}) {
+      const double formula =
+          static_cast<double>(result.operations) /
+          ((result.threads[0].cpu_us + model.IoMicros(result.io)) / 1e6);
+      EXPECT_DOUBLE_EQ(result.ThroughputOps(model), formula) << name << " " << model.name;
+    }
+  }
 }
 
 }  // namespace

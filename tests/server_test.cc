@@ -6,13 +6,17 @@
 // silently dropped -- a TSan target), and the end-to-end
 // serve/shutdown/recover cycle answering the committed history bit-equal.
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -402,6 +406,91 @@ TEST(KvServerTest, ClosedConnectionsReleaseTheirFds) {
   // Only the connections that ended after the last accept are still held.
   EXPECT_LE(OpenFdCount(), before + 8);
   EXPECT_EQ(harness.server->counters().connections_accepted, 200u);
+}
+
+/// Lowers RLIMIT_NOFILE to just above the lowest free descriptor number and
+/// opens /dev/null until every number below the limit is taken, so the
+/// process's next new descriptor fails with EMFILE. The destructor closes the
+/// fillers and restores the limit, whatever path the test leaves by.
+class DescriptorExhaustion {
+ public:
+  DescriptorExhaustion() {
+    const int lowest = ::open("/dev/null", O_RDONLY);
+    if (lowest < 0) return;
+    ::close(lowest);
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest) + 8;
+    if (lowered.rlim_cur > saved_.rlim_cur || ::setrlimit(RLIMIT_NOFILE, &lowered) != 0) return;
+    limited_ = true;
+    for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0; fd = ::open("/dev/null", O_RDONLY)) {
+      fillers_.push_back(fd);
+    }
+    exhausted_ = errno == EMFILE && !fillers_.empty();
+  }
+
+  ~DescriptorExhaustion() {
+    for (int fd : fillers_) ::close(fd);
+    if (limited_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  bool exhausted() const { return exhausted_; }
+
+  /// Frees exactly one descriptor number for the caller's next open.
+  void FreeOne() {
+    ::close(fillers_.back());
+    fillers_.pop_back();
+  }
+
+ private:
+  rlimit saved_{};
+  bool limited_ = false;
+  bool exhausted_ = false;
+  std::vector<int> fillers_;
+};
+
+TEST(KvServerTest, AcceptKeepsServingAfterDescriptorExhaustion) {
+  // An accept() that fails for want of a descriptor must not stop the
+  // listener for good: once descriptors free up, new connections are served.
+  ServerHarness harness("emfile");
+  int first = -1;
+  {
+    DescriptorExhaustion exhaustion;
+    ASSERT_TRUE(exhaustion.exhausted());
+    exhaustion.FreeOne();  // room for the client's socket only
+    // A blocked accept() reserves its descriptor number before it waits, so
+    // this connection may still be accepted; the server's next accept()
+    // finds no number left and fails with EMFILE.
+    ASSERT_TRUE(server::ConnectUnix(harness.path, &first).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+
+  int fd = -1;
+  ASSERT_TRUE(server::ConnectUnix(harness.path, &fd).ok());
+  const std::vector<kv::Request> requests = {
+      {kv::OpKind::kLookup, harness.records[0].key, 0, 0}};
+  std::vector<std::byte> body;
+  std::vector<std::byte> frame;
+  ASSERT_TRUE(server::EncodeRequestBody(7, requests, &body).ok());
+  server::FrameBody(body, &frame);
+  ASSERT_TRUE(server::WriteAll(fd, frame).ok());
+  // A server that stopped accepting never answers: bound the wait so the
+  // test fails instead of hanging.
+  pollfd ready{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&ready, 1, 10'000), 1) << "no response: the server stopped accepting";
+  std::vector<std::byte> response_body;
+  ASSERT_TRUE(server::ReadFrameBody(fd, server::kMaxFrameBytes, &response_body).ok());
+  std::uint32_t tag = 0;
+  std::vector<kv::Response> responses;
+  ASSERT_TRUE(server::DecodeResponseBody(response_body, &tag, &responses).ok());
+  EXPECT_EQ(tag, 7u);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].payload, harness.records[0].payload);
+  ::close(fd);
+  ::close(first);
 }
 
 TEST(KvServerTest, PipelinedFramesRematchByTag) {

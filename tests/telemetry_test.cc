@@ -2,7 +2,7 @@
 // quantile bracketing, the thread-sharded MetricRegistry, the bounded
 // TraceRecorder ring with Chrome trace-event export, and the periodic CSV
 // sampler -- plus the end-to-end wiring contracts: telemetry enabled vs
-// disabled counts identical device I/O (sequential runner and ShardedEngine),
+// disabled counts identical device I/O (one shard and two shards),
 // an instrumented engine run emits every span kind the observability story
 // promises, and the striped OpBreakdown records the same totals under
 // parallel lookups as under serial ones.
@@ -36,7 +36,6 @@
 #include "telemetry/sampler.h"
 #include "telemetry/trace_recorder.h"
 #include "test_util.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -142,20 +141,21 @@ TEST(TelemetryHistogramTest, QuantileBoundsBracketTheNearestRankSample) {
 
 TEST(TelemetryHistogramTest, QuantilesTrackExactOpSamplePercentiles) {
   // The acceptance pin: histogram p50/p99 within one log-bucket width of the
-  // exact OpSample-based percentiles (RunResult::LatencyPercentileUs).
+  // exact OpSample-based percentiles (ConcurrentRunResult::LatencyPercentileUs).
   const DiskModel model = DiskModel::Ssd();
   Rng rng(1234);
-  RunResult result;
+  ConcurrentRunResult result;
+  std::vector<OpSample>& samples = result.threads.emplace_back().samples;
   HistogramSnapshot hist;
   for (int i = 0; i < 5000; ++i) {
     OpSample sample;
     sample.cpu_us = static_cast<float>(std::exp(rng.NextGaussian() * 1.3 + 2.0));
     sample.reads = static_cast<std::uint32_t>(rng.NextBounded(4));
     sample.writes = static_cast<std::uint32_t>(rng.NextBounded(2));
-    result.samples.push_back(sample);
-    hist.Observe(RunResult::SampleLatencyUs(sample, model));
+    samples.push_back(sample);
+    hist.Observe(sample.LatencyUs(model));
   }
-  result.operations = result.samples.size();
+  result.operations = samples.size();
 
   for (double q : {0.50, 0.90, 0.99, 0.999}) {
     const double exact = result.LatencyPercentileUs(q, model);
@@ -403,33 +403,29 @@ IndexOptions BufferedDurableOptions() {
 }
 
 TEST(TelemetryRunnerTest, EnabledTelemetryCountsIdenticalDeviceIo) {
+  // One thread on one shard: the single-index runs behind the paper figures.
   const std::vector<Key> keys = UniformKeys(4000, 11);
   WorkloadSpec spec;
   spec.type = WorkloadType::kYcsbA;
   spec.operations = 6000;
   spec.seed = 5;
-  const Workload workload = BuildWorkload(keys, spec);
+  const ConcurrentWorkload workload = BuildConcurrentWorkload(keys, spec, 1);
 
-  RunResult plain;
+  ConcurrentRunResult plain;
   {
-    auto index = MakeIndex("btree", BufferedDurableOptions());
-    ASSERT_NE(index, nullptr);
-    ASSERT_TRUE(RunWorkload(index.get(), workload, RunnerConfig{}, &plain).ok());
+    ShardedEngine engine({.index_name = "btree", .index = BufferedDurableOptions()});
+    ASSERT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &plain).ok());
   }
 
   MetricRegistry registry;
   TraceRecorder trace;
-  RunResult instrumented;
+  ConcurrentRunResult instrumented;
   {
     IndexOptions options = BufferedDurableOptions();
     options.metrics = &registry;
     options.trace = &trace;
-    auto index = MakeIndex("btree", options);
-    ASSERT_NE(index, nullptr);
-    RunnerConfig config;
-    config.metrics = &registry;
-    config.trace = &trace;
-    ASSERT_TRUE(RunWorkload(index.get(), workload, config, &instrumented).ok());
+    ShardedEngine engine({.index_name = "btree", .index = options});
+    ASSERT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &instrumented).ok());
   }
 
   // Metrics observe, never perturb: the instrumented run pays exactly the
@@ -438,15 +434,16 @@ TEST(TelemetryRunnerTest, EnabledTelemetryCountsIdenticalDeviceIo) {
   EXPECT_EQ(plain.bulkload_io, instrumented.bulkload_io);
   EXPECT_EQ(plain.io, instrumented.io);
 
-  // And the recorded metrics are self-consistent with the run.
+  // And the engine's metrics are self-consistent with the run.
   const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counters.at("ops.lookup") + snap.counters.at("ops.insert") +
-                snap.counters.at("ops.scan") + snap.counters.at("ops.rmw"),
+  EXPECT_EQ(snap.counters.at("shard0.ops.lookup") + snap.counters.at("shard0.ops.insert") +
+                snap.counters.at("shard0.ops.scan") + snap.counters.at("shard0.ops.rmw"),
             instrumented.operations);
-  EXPECT_EQ(snap.histograms.at("op.lookup_us").count, snap.counters.at("ops.lookup"));
-  EXPECT_GT(snap.counters.at("updates.merges"), 0u);
-  EXPECT_GT(snap.counters.at("wal.forces"), 0u);
-  EXPECT_GT(snap.histograms.at("wal.force_us").count, 0u);
+  EXPECT_EQ(snap.histograms.at("engine.lookup_us").count,
+            snap.counters.at("shard0.ops.lookup"));
+  EXPECT_GT(snap.counters.at("shard0.updates.merges"), 0u);
+  EXPECT_GT(snap.counters.at("shard0.wal.forces"), 0u);
+  EXPECT_GT(snap.histograms.at("shard0.wal.force_us").count, 0u);
   EXPECT_GT(trace.recorded(), 0u);
 }
 

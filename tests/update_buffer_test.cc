@@ -23,7 +23,6 @@
 #include "updates/buffered_index.h"
 #include "updates/merge_scheduler.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 namespace liod {
@@ -432,21 +431,21 @@ TEST(UpdateBufferTest, YcsbAOutOfPlaceStrictlyReducesWritesAtEqualAnswers) {
   spec.bulk_keys = 20'000;
   spec.operations = 10'000;
   spec.seed = 43;
-  const Workload w = BuildWorkload(keys, spec);
-  RunnerConfig config;
+  const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, 1);
+  ConcurrentRunnerConfig config;
   config.check_lookups = true;
 
   IndexOptions in_place;
   in_place.alex_max_data_node_slots = 4096;
-  auto baseline = MakeIndex("btree", in_place);
-  RunResult baseline_result;
-  ASSERT_TRUE(RunWorkload(baseline.get(), w, config, &baseline_result).ok());
+  ShardedEngine baseline({.index_name = "btree", .index = in_place});
+  ConcurrentRunResult baseline_result;
+  ASSERT_TRUE(RunConcurrentWorkload(&baseline, w, config, &baseline_result).ok());
 
   // 64 staging blocks hold ~10.9k entries: zipfian repeat-updates coalesce
   // and the single end-of-window merge applies each distinct key once.
-  auto buffered = MakeIndex("btree", BufferedOptions(64));
-  RunResult buffered_result;
-  ASSERT_TRUE(RunWorkload(buffered.get(), w, config, &buffered_result).ok());
+  ShardedEngine buffered({.index_name = "btree", .index = BufferedOptions(64)});
+  ConcurrentRunResult buffered_result;
+  ASSERT_TRUE(RunConcurrentWorkload(&buffered, w, config, &buffered_result).ok());
 
   EXPECT_LT(buffered_result.io.TotalWrites(), baseline_result.io.TotalWrites());
 
@@ -454,8 +453,8 @@ TEST(UpdateBufferTest, YcsbAOutOfPlaceStrictlyReducesWritesAtEqualAnswers) {
   // every key's payload (newest-wins matches last-write-wins).
   for (std::size_t i = 0; i < keys.size(); i += 97) {
     bool found_a = false, found_b = false;
-    const Payload a = MustLookup(baseline.get(), keys[i], &found_a);
-    const Payload b = MustLookup(buffered.get(), keys[i], &found_b);
+    const Payload a = MustLookup(baseline.shard(0), keys[i], &found_a);
+    const Payload b = MustLookup(buffered.shard(0), keys[i], &found_b);
     ASSERT_EQ(found_a, found_b) << keys[i];
     ASSERT_EQ(a, b) << keys[i];
   }

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/index_factory.h"
+#include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 #include "workload/workloads.h"
 
 #include "segmentation/fmcd.h"
@@ -69,11 +69,12 @@ TEST(Workloads, LookupOnlyShape) {
   WorkloadSpec spec;
   spec.type = WorkloadType::kLookupOnly;
   spec.operations = 1000;
-  const auto w = BuildWorkload(keys, spec);
+  const auto w = BuildConcurrentWorkload(keys, spec, 1);
+  const std::vector<WorkloadOp>& ops = w.thread_ops[0];
   EXPECT_EQ(w.bulk.size(), keys.size());
-  EXPECT_EQ(w.ops.size(), 1000u);
+  EXPECT_EQ(ops.size(), 1000u);
   std::set<Key> present(keys.begin(), keys.end());
-  for (const auto& op : w.ops) {
+  for (const auto& op : ops) {
     EXPECT_EQ(op.kind, WorkloadOp::Kind::kLookup);
     EXPECT_TRUE(present.count(op.key)) << "lookup key must exist";
   }
@@ -85,11 +86,12 @@ TEST(Workloads, WriteOnlyUsesDisjointInsertKeys) {
   spec.type = WorkloadType::kWriteOnly;
   spec.bulk_keys = 2000;
   spec.operations = 2000;
-  const auto w = BuildWorkload(keys, spec);
+  const auto w = BuildConcurrentWorkload(keys, spec, 1);
+  const std::vector<WorkloadOp>& ops = w.thread_ops[0];
   EXPECT_EQ(w.bulk.size(), 2000u);
   std::set<Key> bulk;
   for (const auto& r : w.bulk) bulk.insert(r.key);
-  for (const auto& op : w.ops) {
+  for (const auto& op : ops) {
     EXPECT_EQ(op.kind, WorkloadOp::Kind::kInsert);
     EXPECT_FALSE(bulk.count(op.key)) << "insert keys must be new";
   }
@@ -105,20 +107,21 @@ TEST(Workloads, MixedPatternsMatchPaper) {
     spec.type = type;
     spec.bulk_keys = 2000;
     spec.operations = 200;
-    const auto w = BuildWorkload(keys, spec);
-    ASSERT_EQ(w.ops.size(), 200u);
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    const std::vector<WorkloadOp>& ops = w.thread_ops[0];
+    ASSERT_EQ(ops.size(), 200u);
     // Verify the first round follows the paper's interleaving pattern.
     for (int i = 0; i < ins; ++i) {
-      EXPECT_EQ(w.ops[i].kind, WorkloadOp::Kind::kInsert)
+      EXPECT_EQ(ops[i].kind, WorkloadOp::Kind::kInsert)
           << WorkloadTypeName(type) << " pos " << i;
     }
     for (int i = ins; i < ins + lks; ++i) {
-      EXPECT_EQ(w.ops[i].kind, WorkloadOp::Kind::kLookup)
+      EXPECT_EQ(ops[i].kind, WorkloadOp::Kind::kLookup)
           << WorkloadTypeName(type) << " pos " << i;
     }
     // Overall ratio.
     std::size_t inserts = 0;
-    for (const auto& op : w.ops) inserts += op.kind == WorkloadOp::Kind::kInsert;
+    for (const auto& op : ops) inserts += op.kind == WorkloadOp::Kind::kInsert;
     EXPECT_EQ(inserts, spec.operations * static_cast<std::size_t>(ins) /
                            static_cast<std::size_t>(ins + lks));
   }
@@ -145,9 +148,10 @@ TEST(Ycsb, MixRatiosMatchSpec) {
     spec.type = type;
     spec.bulk_keys = 5000;
     spec.operations = 10000;
-    const auto w = BuildWorkload(keys, spec);
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    const std::vector<WorkloadOp>& ops = w.thread_ops[0];
     std::map<WorkloadOp::Kind, std::size_t> counts;
-    for (const auto& op : w.ops) ++counts[op.kind];
+    for (const auto& op : ops) ++counts[op.kind];
     return counts;
   };
   using Kind = WorkloadOp::Kind;
@@ -181,12 +185,13 @@ TEST(Ycsb, ZipfianSkewsKeyChoice) {
     spec.type = WorkloadType::kYcsbC;
     spec.operations = 20000;
     spec.zipf_theta = theta;
-    const auto w = BuildWorkload(keys, spec);
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    const std::vector<WorkloadOp>& ops = w.thread_ops[0];
     std::map<Key, std::size_t> freq;
-    for (const auto& op : w.ops) ++freq[op.key];
+    for (const auto& op : ops) ++freq[op.key];
     std::size_t hottest = 0;
     for (const auto& [k, n] : freq) hottest = std::max(hottest, n);
-    return static_cast<double>(hottest) / static_cast<double>(w.ops.size());
+    return static_cast<double>(hottest) / static_cast<double>(ops.size());
   };
   // theta 0.99 concentrates a visible share on the hottest key; uniform
   // spreads it to ~1/n.
@@ -203,10 +208,11 @@ TEST(Ycsb, ReadsOnlyTargetLiveKeys) {
     spec.type = type;
     spec.bulk_keys = 3000;
     spec.operations = 4000;
-    const auto w = BuildWorkload(keys, spec);
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    const std::vector<WorkloadOp>& ops = w.thread_ops[0];
     std::set<Key> live;
     for (const auto& r : w.bulk) live.insert(r.key);
-    for (const auto& op : w.ops) {
+    for (const auto& op : ops) {
       switch (op.kind) {
         case WorkloadOp::Kind::kInsert:
           live.insert(op.key);
@@ -234,25 +240,26 @@ TEST(Workloads, EmptyBulkSampleStillGeneratesInserts) {
     spec.bulk_keys = 0;
     spec.operations = 1500;
     spec.scan_length = 5;
-    const auto w = BuildWorkload(keys, spec);
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    const std::vector<WorkloadOp>& ops = w.thread_ops[0];
     EXPECT_TRUE(w.bulk.empty());
-    ASSERT_EQ(w.ops.size(), 1500u) << WorkloadTypeName(type);
-    EXPECT_EQ(w.ops.front().kind, WorkloadOp::Kind::kInsert)
+    ASSERT_EQ(ops.size(), 1500u) << WorkloadTypeName(type);
+    EXPECT_EQ(ops.front().kind, WorkloadOp::Kind::kInsert)
         << WorkloadTypeName(type) << ": nothing is live before the first insert";
     // Reads may only target keys inserted earlier in the tape.
     std::set<Key> live;
-    for (const auto& op : w.ops) {
+    for (const auto& op : ops) {
       if (op.kind == WorkloadOp::Kind::kInsert) {
         live.insert(op.key);
       } else if (op.kind == WorkloadOp::Kind::kLookup) {
         ASSERT_TRUE(live.count(op.key)) << WorkloadTypeName(type);
       }
     }
-    auto index = MakeIndex("btree", IndexOptions{});
-    RunnerConfig config;
+    ShardedEngine engine({.index_name = "btree", .index = IndexOptions{}});
+    ConcurrentRunnerConfig config;
     config.check_lookups = true;
-    RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok())
+    ConcurrentRunResult result;
+    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok())
         << WorkloadTypeName(type);
     EXPECT_GT(result.stats_after.num_records, 0u);
   }
@@ -261,19 +268,19 @@ TEST(Workloads, EmptyBulkSampleStillGeneratesInserts) {
 TEST(Ycsb, AllMixesRunGreenSequentially) {
   const auto keys = MakeDataset("osm", 12000, 8);
   for (WorkloadType type : YcsbWorkloadTypes()) {
-    auto index = MakeIndex("btree", IndexOptions{});
+    ShardedEngine engine({.index_name = "btree", .index = IndexOptions{}});
     WorkloadSpec spec;
     spec.type = type;
     spec.bulk_keys = 4000;
     spec.operations = 1500;
     spec.scan_length = 10;
-    const auto w = BuildWorkload(keys, spec);
-    RunnerConfig config;
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    ConcurrentRunnerConfig config;
     config.check_lookups = true;
-    RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok())
+    ConcurrentRunResult result;
+    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok())
         << WorkloadTypeName(type);
-    EXPECT_EQ(result.operations, w.ops.size());
+    EXPECT_EQ(result.operations, w.thread_ops[0].size());
   }
 }
 
@@ -305,19 +312,18 @@ TEST_P(RunnerIntegrationTest, AllWorkloadsRunGreen) {
     options.alex_max_data_node_slots = 2048;
     options.pgm_insert_buffer_records = 128;
     options.fiting_buffer_capacity = 64;
-    auto index = MakeIndex(index_name, options);
-    ASSERT_NE(index, nullptr);
+    ShardedEngine engine({.index_name = index_name, .index = options});
     WorkloadSpec spec;
     spec.type = type;
     spec.bulk_keys = 5000;
     spec.operations = 2000;
-    const auto w = BuildWorkload(keys, spec);
-    RunnerConfig config;
+    const auto w = BuildConcurrentWorkload(keys, spec, 1);
+    ConcurrentRunnerConfig config;
     config.check_lookups = true;  // every sampled lookup must hit
-    RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok())
+    ConcurrentRunResult result;
+    ASSERT_TRUE(RunConcurrentWorkload(&engine, w, config, &result).ok())
         << index_name << " on " << WorkloadTypeName(type);
-    EXPECT_EQ(result.operations, w.ops.size());
+    EXPECT_EQ(result.operations, w.thread_ops[0].size());
     EXPECT_GT(result.io.TotalReads(), 0u);
     EXPECT_GT(result.stats_after.disk_bytes, 0u);
     // Modeled throughput must be finite and HDD slower than SSD.
@@ -336,16 +342,17 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, RunnerIntegrationTest,
 
 TEST(Runner, RecordsPerOpSamples) {
   const auto keys = MakeDataset("ycsb", 5000, 12);
-  auto index = MakeIndex("btree", IndexOptions{});
+  ShardedEngine engine({.index_name = "btree", .index = IndexOptions{}});
   WorkloadSpec spec;
   spec.type = WorkloadType::kLookupOnly;
   spec.operations = 500;
-  const auto w = BuildWorkload(keys, spec);
-  RunnerConfig config;
+  ConcurrentRunnerConfig config;
   config.record_samples = true;
-  RunResult result;
-  ASSERT_TRUE(RunWorkload(index.get(), w, config, &result).ok());
-  ASSERT_EQ(result.samples.size(), 500u);
+  ConcurrentRunResult result;
+  ASSERT_TRUE(
+      RunConcurrentWorkload(&engine, BuildConcurrentWorkload(keys, spec, 1), config, &result)
+          .ok());
+  ASSERT_EQ(result.threads[0].samples.size(), 500u);
   const DiskModel hdd = DiskModel::Hdd();
   const double p50 = result.LatencyPercentileUs(0.5, hdd);
   const double p99 = result.LatencyPercentileUs(0.99, hdd);
@@ -357,13 +364,14 @@ TEST(Runner, RecordsPerOpSamples) {
 TEST(Runner, HybridSearchWorkloads) {
   const auto keys = MakeDataset("fb", 20000, 13);
   for (const auto& name : HybridIndexNames()) {
-    auto index = MakeIndex(name, IndexOptions{});
+    ShardedEngine engine({.index_name = name, .index = IndexOptions{}});
     WorkloadSpec spec;
     spec.type = WorkloadType::kScanOnly;
     spec.operations = 300;
-    const auto w = BuildWorkload(keys, spec);
-    RunResult result;
-    ASSERT_TRUE(RunWorkload(index.get(), w, RunnerConfig{}, &result).ok()) << name;
+    ConcurrentRunResult result;
+    ASSERT_TRUE(
+        RunConcurrentWorkload(&engine, BuildConcurrentWorkload(keys, spec, 1), {}, &result).ok())
+        << name;
     EXPECT_GT(result.io.TotalReads(), 0u);
   }
 }

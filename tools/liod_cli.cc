@@ -33,8 +33,8 @@
 // device.submissions).
 //
 // --buffer is the paper's per-file frame budget; --buffer-budget N > 0
-// switches to one shared pool of N frames across all files (and across all
-// shards in engine mode, where the budget then spans the whole engine).
+// switches to one shared pool of N frames across all files and all shards,
+// so the budget spans the whole engine.
 //
 // --update-buffer N > 0 switches updates from the paper's in-place path to
 // the out-of-place UpdateBuffer decorator (N-block staging area), drained
@@ -45,14 +45,15 @@
 // Insert/Delete is logged to a write-ahead log (counted as the "wal" file
 // class, reported in the wal_writes CSV column), checkpoints snapshot +
 // truncate it (--checkpoint-every N ops; 0 = at merges only). --recover
-// (sequential mode only) additionally demonstrates crash recovery: after the
-// measured run it applies an unflushed tail of inserts, "crashes" the index,
-// rebuilds it from the durable slot via RecoveryManager, and verifies the
-// committed tail prefix is answered exactly.
+// (1 thread x 1 shard only) additionally demonstrates crash recovery: after
+// the measured run it applies an unflushed tail of inserts, "crashes" the
+// index, rebuilds it from the durable slot via RecoveryManager, and verifies
+// the committed tail prefix is answered exactly.
 //
-// With --threads/--shards > 1 execution routes through the ShardedEngine and
-// the multi-threaded ConcurrentRunner; the defaults (1/1) keep the classic
-// single-index sequential path and its exact output format.
+// Every run goes through the ShardedEngine and the ConcurrentRunner, with
+// --threads client threads over --shards key-range shards. The defaults
+// (1/1) run one index on one thread, the paper's evaluation, and print the
+// single-index CSV columns; other shapes add threads/shards/lock_mode.
 //
 // `serve` bulkloads --dataset/--bulk records (payload = key + 1) into a
 // ShardedEngine with the same engine flags as run, then serves the binary KV
@@ -93,7 +94,6 @@
 #include <string>
 #include <thread>
 
-#include "core/index_factory.h"
 #include "storage/device_factory.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
@@ -108,7 +108,6 @@
 #include "telemetry/trace_recorder.h"
 #include "updates/buffered_index.h"
 #include "workload/datasets.h"
-#include "workload/runner.h"
 
 using namespace liod;
 
@@ -135,7 +134,7 @@ struct CliArgs {
   std::size_t scan_length = 100;
   std::size_t threads = 1;
   std::size_t shards = 1;
-  std::string lock_mode = "exclusive";  // engine mode: shard latch discipline
+  std::string lock_mode = "exclusive";  // shard latch discipline
   std::uint64_t seed = 42;
   double zipf_theta = 0.99;
   std::string disk = "both";
@@ -182,15 +181,16 @@ void Usage() {
   std::printf(
       "\noptions:   --bulk N --ops N --block BYTES --buffer BLOCKS --seed N\n"
       "           --buffer-policy lru|clock|fifo --buffer-budget BLOCKS (shared pool;\n"
-      "             spans all shards in engine mode) --write-back\n"
+      "             spans all shards) --write-back\n"
       "           --scan-length N --disk hdd|ssd|both --csv --inner-in-memory\n"
-      "           --threads N --shards N (engine mode when either > 1) --zipf THETA\n"
+      "           --threads N --shards N (engine CSV columns when either > 1)\n"
+      "           --zipf THETA\n"
       "           --lock-mode exclusive|shared (engine shard latches)\n"
       "           --update-buffer BLOCKS (0 = in-place) --merge-mode sync|background\n"
       "           --merge-threshold F (fraction of staging capacity; > 1 spills runs)\n"
       "           --durability none|async|group-commit|sync-per-op (WAL for the\n"
       "             buffered write path) --group-window OPS --checkpoint-every OPS\n"
-      "           --recover (sequential mode: crash + rebuild demonstration)\n"
+      "           --recover (1 thread x 1 shard: crash + rebuild demonstration)\n"
       "           --device modeled|file|direct (storage backend; file/direct add\n"
       "             wall-clock CSV columns with bit-identical counted I/O)\n"
       "           --device-path DIR (real-device files; default: temp dir)\n"
@@ -388,20 +388,32 @@ class ProgressReporter {
   std::thread thread_;  // last member: runs Loop against the fields above
 };
 
-/// One durable decorator's heartbeat detail (", staged=.. ckpts=.. wal_lsn=..");
-/// empty for plain in-place indexes.
-std::string BufferedDetail(const UpdateBufferedIndex* durable) {
-  if (durable == nullptr) return std::string();
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), ", staged=%zu, ckpts=%llu, wal_lsn=%llu",
-                durable->staged_records(),
-                static_cast<unsigned long long>(durable->checkpoints_written()),
-                static_cast<unsigned long long>(durable->wal_last_lsn()));
-  return std::string(buf);
+/// Staged updates, checkpoints and the newest WAL LSN over the engine's
+/// durable shards; `any` is false for plain in-place indexes. The
+/// decorators' introspection methods latch internally, so the heartbeat may
+/// read them during the measured phase.
+struct DurableTotals {
+  bool any = false;
+  std::size_t staged = 0;
+  std::uint64_t checkpoints = 0;
+  std::uint64_t last_lsn = 0;
+};
+
+DurableTotals SumDurable(ShardedEngine& engine) {
+  DurableTotals totals;
+  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+    auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine.shard(s));
+    if (durable == nullptr) continue;
+    totals.any = true;
+    totals.staged += durable->staged_records();
+    totals.checkpoints += durable->checkpoints_written();
+    totals.last_lsn = std::max(totals.last_lsn, durable->wal_last_lsn());
+  }
+  return totals;
 }
 
-/// The CLI-owned telemetry objects. The registry/trace outlive the index and
-/// engine (both reference them); the sampler is constructed by the runner's
+/// The CLI-owned telemetry objects. The registry/trace outlive the engine
+/// (it references them); the sampler is constructed by the runner's
 /// before_ops hook so its frozen CSV columns include every metric the run
 /// registers.
 struct TelemetryContext {
@@ -422,7 +434,7 @@ bool WriteFileOrComplain(const std::string& path, const std::string& contents) {
 }
 
 /// Stops the sampler and writes --metrics-out / --trace-out. Must run while
-/// the index/engine is still alive: the registry's gauges read their IoStats.
+/// the engine is still alive: the registry's gauges read its IoStats.
 int FinishTelemetry(const CliArgs& args, TelemetryContext* telemetry) {
   int rc = 0;
   if (telemetry->sampler != nullptr) {
@@ -442,49 +454,33 @@ int FinishTelemetry(const CliArgs& args, TelemetryContext* telemetry) {
   return rc;
 }
 
-/// before_ops hook body shared by both modes: start the periodic sampler
-/// (every metric is registered by now) and the --progress heartbeat.
-void StartMeasuredPhaseTelemetry(const CliArgs& args, TelemetryContext* telemetry,
-                                 std::unique_ptr<ProgressReporter>* reporter,
-                                 const std::atomic<std::uint64_t>* ops,
-                                 std::function<std::string()> detail) {
-  if (!args.sample_out.empty() && telemetry->metrics != nullptr) {
-    telemetry->sampler = std::make_unique<TelemetrySampler>(
-        telemetry->metrics.get(), args.sample_out,
-        std::chrono::milliseconds(args.sample_every_ms));
-  }
-  if (args.progress) {
-    *reporter = std::make_unique<ProgressReporter>(ops, std::move(detail));
-  }
-}
-
-/// --recover demonstration: after the measured (and fully flushed) run,
-/// apply an unflushed tail of inserts, destroy the index mid-flight (the
-/// simulated crash), rebuild from the durable slot, and verify the committed
-/// tail prefix answers exactly. Prints to stderr so --csv stays parseable.
+/// --recover demonstration on a one-shard engine: after the measured (and
+/// fully flushed) run, apply an unflushed tail of inserts to the shard's
+/// index, destroy the engine mid-flight (the simulated crash), rebuild from
+/// the durable slot, and verify the committed tail prefix answers exactly.
+/// Prints to stderr so --csv stays parseable.
 int RunRecoveryDemo(const CliArgs& args, const IndexOptions& options, DurableSlot* slot,
-                    std::unique_ptr<DiskIndex> index, const Workload& w) {
-  auto* durable = dynamic_cast<UpdateBufferedIndex*>(index.get());
+                    std::unique_ptr<ShardedEngine> engine, const std::vector<Record>& bulk) {
+  auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine->shard(0));
   if (durable == nullptr) {
     std::fprintf(stderr, "--recover requires --durability != none\n");
     return 2;
   }
   const std::uint64_t base_lsn = durable->wal_last_lsn();
-  const std::size_t tail = std::min<std::size_t>(w.bulk.size(), 2000);
+  const std::size_t tail = std::min<std::size_t>(bulk.size(), 2000);
   for (std::size_t i = 0; i < tail; ++i) {
-    const Status status = durable->Insert(w.bulk[i].key, w.bulk[i].key + 977);
+    const Status status = durable->Insert(bulk[i].key, bulk[i].key + 977);
     if (!status.ok()) {
       std::fprintf(stderr, "recover demo: tail insert failed: %s\n",
                    status.ToString().c_str());
       return 1;
     }
   }
-  index.reset();  // crash: no FlushUpdates, no final checkpoint
+  engine.reset();  // crash: no FlushUpdates, no final checkpoint
 
   const auto start = std::chrono::steady_clock::now();
   RecoveryResult recovered;
-  const Status status =
-      RecoveryManager::Recover(slot, args.index, options, w.bulk, &recovered);
+  const Status status = RecoveryManager::Recover(slot, args.index, options, bulk, &recovered);
   // Two numbers, two stories: replay is the modeled analysis time (exact
   // checkpoint+WAL blocks x SSD latency, the recovery_sweep convention,
   // shrinking with checkpoint cadence); rebuild is the measured wall time of
@@ -506,8 +502,8 @@ int RunRecoveryDemo(const CliArgs& args, const IndexOptions& options, DurableSlo
   for (std::size_t i = 0; i < tail; ++i) {
     Payload payload = 0;
     bool found = false;
-    const Status lookup = recovered.index->Lookup(w.bulk[i].key, &payload, &found);
-    if (!lookup.ok() || !found || (i < committed && payload != w.bulk[i].key + 977)) {
+    const Status lookup = recovered.index->Lookup(bulk[i].key, &payload, &found);
+    if (!lookup.ok() || !found || (i < committed && payload != bulk[i].key + 977)) {
       std::fprintf(stderr, "recovery verification FAILED at tail op %zu\n", i);
       return 1;
     }
@@ -542,138 +538,11 @@ std::unique_ptr<DurableSlot> MakeCliDurableSlot(const IndexOptions& options) {
   return std::make_unique<DurableSlot>(std::move(wal_device), std::move(checkpoint_device));
 }
 
-/// Classic path: one single-threaded index, the sequential runner, and the
-/// original output format.
-int RunSequential(const CliArgs& args, IndexOptions options, const std::vector<Key>& keys,
-                  const WorkloadSpec& spec, TelemetryContext* telemetry) {
-  // An external slot keeps the WAL/checkpoint devices alive across the
-  // --recover demo's simulated crash; without --recover it is equivalent to
-  // the decorator's private slot.
-  std::unique_ptr<DurableSlot> slot = MakeCliDurableSlot(options);
-  if (slot == nullptr) return 1;
-  if (options.durability != DurabilityPolicy::kNone) options.durable_slot = slot.get();
-  auto index = MakeIndex(args.index, options);
-  if (index == nullptr) {
-    std::fprintf(stderr, "unknown index '%s'\n", args.index.c_str());
-    Usage();
-    return 2;
-  }
-  const Workload w = BuildWorkload(keys, spec);
-
-  // Sequential mode has no engine to register buffer gauges, so the CLI does
-  // it (unprefixed: one index, one namespace). Unregistered after the final
-  // snapshot, before the index -- whose IoStats they read -- is destroyed.
-  std::vector<std::string> gauge_names;
-  if (telemetry->metrics != nullptr) {
-    gauge_names = RegisterBufferGauges(telemetry->metrics.get(), "", &index->io_stats());
-  }
-
-  std::atomic<std::uint64_t> ops_done{0};
-  std::unique_ptr<ProgressReporter> reporter;
-  RunnerConfig config;
-  config.record_samples = true;
-  config.metrics = telemetry->metrics.get();
-  config.trace = telemetry->trace.get();
-  config.progress = &ops_done;
-  config.before_ops = [&] {
-    auto* durable = dynamic_cast<UpdateBufferedIndex*>(index.get());
-    StartMeasuredPhaseTelemetry(args, telemetry, &reporter, &ops_done,
-                                [durable] { return BufferedDetail(durable); });
-  };
-  RunResult result;
-  const Status status = RunWorkload(index.get(), w, config, &result);
-  reporter.reset();  // stop the heartbeat before any other output
-  const int telemetry_rc = FinishTelemetry(args, telemetry);
-  if (telemetry->metrics != nullptr) {
-    for (const std::string& name : gauge_names) telemetry->metrics->UnregisterGauge(name);
-  }
-  if (!status.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  if (telemetry_rc != 0) return telemetry_rc;
-
-  const std::vector<DiskModel> disks = ParseDisks(args.disk);
-  if (disks.empty()) {
-    std::fprintf(stderr, "unknown disk '%s'\n", args.disk.c_str());
-    return 2;
-  }
-
-  const IndexStats& stats = result.stats_after;
-  const double ops_den =
-      result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
-  if (args.csv) {
-    std::printf(
-        "index,dataset,workload,disk,ops,tput_ops_s,reads_per_op,writes_per_op,"
-        "p99_us,stddev_us,disk_mib,invalid_mib,height,smos,"
-        "hit_inner,hit_leaf,hit_overall,durability,wal_writes,p50_us,p999_us,"
-        "device,wall_us,wall_p50_us,wall_p999_us\n");
-    for (const DiskModel& disk : disks) {
-      std::printf(
-          "%s,%s,%s,%s,%llu,%.2f,%.3f,%.3f,%.1f,%.1f,%.2f,%.2f,%llu,%llu,"
-          "%.3f,%.3f,%.3f,%s,%llu,%.1f,%.1f,%s,%.1f,%.2f,%.2f\n",
-          args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
-          disk.name.c_str(), static_cast<unsigned long long>(result.operations),
-          result.ThroughputOps(disk),
-          static_cast<double>(result.io.TotalReads()) / ops_den,
-          static_cast<double>(result.io.TotalWrites()) / ops_den,
-          result.LatencyPercentileUs(0.99, disk), result.LatencyStdDevUs(disk),
-          stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
-          static_cast<unsigned long long>(stats.height),
-          static_cast<unsigned long long>(stats.smo_count),
-          result.io.HitRateFor(FileClass::kInner),
-          result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate(),
-          DurabilityPolicyName(options.durability),
-          static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
-          result.LatencyPercentileUs(0.50, disk), result.LatencyPercentileUs(0.999, disk),
-          DeviceKindName(EffectiveDeviceKind(options)), result.cpu_us,
-          result.WallPercentileUs(0.50), result.WallPercentileUs(0.999));
-    }
-    if (args.recover) return RunRecoveryDemo(args, options, slot.get(), std::move(index), w);
-    return 0;
-  }
-
-  std::printf("%s on %s / %s: %llu ops over %zu bulkloaded keys\n",
-              args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
-              static_cast<unsigned long long>(result.operations), args.bulk);
-  std::printf("  blocks/op: %.2f read, %.2f written\n",
-              static_cast<double>(result.io.TotalReads()) / ops_den,
-              static_cast<double>(result.io.TotalWrites()) / ops_den);
-  std::printf("  buffer hit rate: inner %.3f, leaf %.3f, overall %.3f\n",
-              result.io.HitRateFor(FileClass::kInner),
-              result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate());
-  for (const DiskModel& disk : disks) {
-    std::printf("  %s: %.1f ops/s, p99 %.2f ms, stddev %.2f ms\n", disk.name.c_str(),
-                result.ThroughputOps(disk), result.LatencyPercentileUs(0.99, disk) / 1e3,
-                result.LatencyStdDevUs(disk) / 1e3);
-  }
-  const DiskModel& primary = disks.front();
-  std::printf("  phase breakdown (avg %s us/op):", primary.name.c_str());
-  for (OpPhase phase : {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo,
-                        OpPhase::kMaintenance}) {
-    std::printf(" %s=%.1f", OpPhaseName(phase),
-                index->breakdown().AvgLatencyUs(phase, primary, result.operations));
-  }
-  std::printf("\n  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
-              stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
-              static_cast<unsigned long long>(stats.height),
-              static_cast<unsigned long long>(stats.smo_count));
-  if (options.durability != DurabilityPolicy::kNone) {
-    auto* durable = dynamic_cast<UpdateBufferedIndex*>(index.get());
-    std::printf("  durability: %s, %llu wal writes in window, %llu checkpoints\n",
-                DurabilityPolicyName(options.durability),
-                static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
-                static_cast<unsigned long long>(
-                    durable != nullptr ? durable->checkpoints_written() : 0));
-  }
-  if (args.recover) return RunRecoveryDemo(args, options, slot.get(), std::move(index), w);
-  return 0;
-}
-
-/// Engine path: key-range shards + concurrent client threads.
-int RunEngine(const CliArgs& args, const IndexOptions& options,
-              const std::vector<Key>& keys, const WorkloadSpec& spec,
-              TelemetryContext* telemetry) {
+/// Runs the workload through the ShardedEngine and the runner at --threads x
+/// --shards, then reports it. 1 x 1, the default, is one index on one thread:
+/// the paper's evaluation.
+int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vector<Key>& keys,
+                const WorkloadSpec& spec, TelemetryContext* telemetry) {
   EngineOptions engine_options;
   engine_options.index_name = args.index;
   engine_options.num_shards = args.shards;
@@ -682,9 +551,19 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
     std::fprintf(stderr, "unknown lock mode '%s'\n", args.lock_mode.c_str());
     return 2;
   }
-  // A shared budget in engine mode means one pool for the whole engine.
+  // A shared budget means one pool for the whole engine.
   engine_options.share_buffers_across_shards = args.buffer_budget > 0;
-  ShardedEngine engine(engine_options);
+  // At 1 x 1 a durable index logs to the CLI's slot, which honors --device
+  // and outlives the engine across the --recover demo's simulated crash.
+  const bool one_by_one = args.threads == 1 && args.shards == 1;
+  DurableStore store(options.block_size);
+  if (one_by_one && options.durability != DurabilityPolicy::kNone) {
+    std::unique_ptr<DurableSlot> slot = MakeCliDurableSlot(options);
+    if (slot == nullptr) return 1;
+    store.InstallSlot(0, std::move(slot));
+    engine_options.durable_store = &store;
+  }
+  auto engine = std::make_unique<ShardedEngine>(engine_options);
 
   const ConcurrentWorkload w = BuildConcurrentWorkload(keys, spec, args.threads);
 
@@ -693,33 +572,27 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
   ConcurrentRunnerConfig config;
   config.record_samples = true;
   config.progress = &ops_done;
+  // Every metric is registered by the time before_ops runs, so the sampler's
+  // frozen columns cover them all.
   config.before_ops = [&] {
-    // Heartbeat detail sums the durable decorators across shards (their
-    // introspection methods latch internally, so reading them concurrently
-    // with the measured phase is safe).
-    auto detail = [&engine]() -> std::string {
-      std::size_t staged = 0;
-      std::uint64_t ckpts = 0, last_lsn = 0;
-      bool any = false;
-      for (std::size_t s = 0; s < engine.num_shards(); ++s) {
-        auto* durable = dynamic_cast<UpdateBufferedIndex*>(engine.shard(s));
-        if (durable == nullptr) continue;
-        any = true;
-        staged += durable->staged_records();
-        ckpts += durable->checkpoints_written();
-        last_lsn = std::max(last_lsn, durable->wal_last_lsn());
-      }
-      if (!any) return std::string();
+    if (!args.sample_out.empty() && telemetry->metrics != nullptr) {
+      telemetry->sampler = std::make_unique<TelemetrySampler>(
+          telemetry->metrics.get(), args.sample_out,
+          std::chrono::milliseconds(args.sample_every_ms));
+    }
+    if (!args.progress) return;
+    reporter = std::make_unique<ProgressReporter>(&ops_done, [&engine] {
+      const DurableTotals durable = SumDurable(*engine);
+      if (!durable.any) return std::string();
       char buf[96];
-      std::snprintf(buf, sizeof(buf), ", staged=%zu, ckpts=%llu, wal_lsn=%llu", staged,
-                    static_cast<unsigned long long>(ckpts),
-                    static_cast<unsigned long long>(last_lsn));
+      std::snprintf(buf, sizeof(buf), ", staged=%zu, ckpts=%llu, wal_lsn=%llu", durable.staged,
+                    static_cast<unsigned long long>(durable.checkpoints),
+                    static_cast<unsigned long long>(durable.last_lsn));
       return std::string(buf);
-    };
-    StartMeasuredPhaseTelemetry(args, telemetry, &reporter, &ops_done, detail);
+    });
   };
   ConcurrentRunResult result;
-  const Status status = RunConcurrentWorkload(&engine, w, config, &result);
+  const Status status = RunConcurrentWorkload(engine.get(), w, config, &result);
   reporter.reset();  // stop the heartbeat before any other output
   const int telemetry_rc = FinishTelemetry(args, telemetry);
   if (!status.ok()) {
@@ -737,63 +610,85 @@ int RunEngine(const CliArgs& args, const IndexOptions& options,
   const IndexStats& stats = result.stats_after;
   const double ops_den =
       result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
+  const char* lock_mode = ShardLockModeName(engine_options.shard_lock_mode);
   if (args.csv) {
+    // scripts/compare_bench.py keys rows by these columns: 1 x 1 rows keep
+    // the single-index set (with stddev_us and invalid_mib), every other
+    // shape adds threads/shards/lock_mode instead.
     std::printf(
-        "index,dataset,workload,threads,shards,lock_mode,disk,ops,tput_ops_s,"
-        "reads_per_op,writes_per_op,p99_us,disk_mib,height,smos,hit_inner,hit_leaf,"
-        "hit_overall,durability,wal_writes,p50_us,p999_us,"
-        "device,wall_us,wall_p50_us,wall_p999_us\n");
+        "index,dataset,workload,%sdisk,ops,tput_ops_s,reads_per_op,writes_per_op,p99_us,%s"
+        "disk_mib,%sheight,smos,hit_inner,hit_leaf,hit_overall,durability,wal_writes,"
+        "p50_us,p999_us,device,wall_us,wall_p50_us,wall_p999_us\n",
+        one_by_one ? "" : "threads,shards,lock_mode,", one_by_one ? "stddev_us," : "",
+        one_by_one ? "invalid_mib," : "");
     for (const DiskModel& disk : disks) {
-      std::printf(
-          "%s,%s,%s,%zu,%zu,%s,%s,%llu,%.2f,%.3f,%.3f,%.1f,%.2f,%llu,%llu,"
-          "%.3f,%.3f,%.3f,%s,%llu,%.1f,%.1f,%s,%.1f,%.2f,%.2f\n",
-          args.index.c_str(), args.dataset.c_str(), args.workload.c_str(), args.threads,
-          engine.num_shards(), ShardLockModeName(engine_options.shard_lock_mode),
-          disk.name.c_str(),
-          static_cast<unsigned long long>(result.operations), result.ThroughputOps(disk),
-          static_cast<double>(result.io.TotalReads()) / ops_den,
-          static_cast<double>(result.io.TotalWrites()) / ops_den,
-          result.LatencyPercentileUs(0.99, disk), stats.disk_bytes / 1048576.0,
-          static_cast<unsigned long long>(stats.height),
-          static_cast<unsigned long long>(stats.smo_count),
-          result.io.HitRateFor(FileClass::kInner),
-          result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate(),
-          DurabilityPolicyName(options.durability),
-          static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
-          result.LatencyPercentileUs(0.50, disk), result.LatencyPercentileUs(0.999, disk),
-          DeviceKindName(EffectiveDeviceKind(options)), result.wall_us,
-          result.WallPercentileUs(0.50), result.WallPercentileUs(0.999));
+      std::printf("%s,%s,%s,", args.index.c_str(), args.dataset.c_str(), args.workload.c_str());
+      if (!one_by_one) std::printf("%zu,%zu,%s,", args.threads, engine->num_shards(), lock_mode);
+      std::printf("%s,%llu,%.2f,%.3f,%.3f,%.1f,", disk.name.c_str(),
+                  static_cast<unsigned long long>(result.operations),
+                  result.ThroughputOps(disk),
+                  static_cast<double>(result.io.TotalReads()) / ops_den,
+                  static_cast<double>(result.io.TotalWrites()) / ops_den,
+                  result.LatencyPercentileUs(0.99, disk));
+      if (one_by_one) std::printf("%.1f,", result.LatencyStdDevUs(disk));
+      std::printf("%.2f,", stats.disk_bytes / 1048576.0);
+      if (one_by_one) std::printf("%.2f,", stats.freed_bytes / 1048576.0);
+      std::printf("%llu,%llu,%.3f,%.3f,%.3f,%s,%llu,%.1f,%.1f,%s,%.1f,%.2f,%.2f\n",
+                  static_cast<unsigned long long>(stats.height),
+                  static_cast<unsigned long long>(stats.smo_count),
+                  result.io.HitRateFor(FileClass::kInner),
+                  result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate(),
+                  DurabilityPolicyName(options.durability),
+                  static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
+                  result.LatencyPercentileUs(0.50, disk), result.LatencyPercentileUs(0.999, disk),
+                  DeviceKindName(EffectiveDeviceKind(options)), result.wall_us,
+                  result.WallPercentileUs(0.50), result.WallPercentileUs(0.999));
     }
-    return 0;
+  } else {
+    std::printf(
+        "%s on %s / %s: %llu ops, %zu threads x %zu shards (%s locking), "
+        "%zu bulkloaded keys\n",
+        args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
+        static_cast<unsigned long long>(result.operations), args.threads,
+        engine->num_shards(), lock_mode, w.bulk.size());
+    std::printf("  blocks/op: %.2f read, %.2f written\n",
+                static_cast<double>(result.io.TotalReads()) / ops_den,
+                static_cast<double>(result.io.TotalWrites()) / ops_den);
+    std::printf("  buffer hit rate: inner %.3f, leaf %.3f, overall %.3f\n",
+                result.io.HitRateFor(FileClass::kInner),
+                result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate());
+    for (const DiskModel& disk : disks) {
+      std::printf("  %s: %.1f ops/s (modeled, slowest-thread makespan), p99 %.2f ms, "
+                  "stddev %.2f ms\n",
+                  disk.name.c_str(), result.ThroughputOps(disk),
+                  result.LatencyPercentileUs(0.99, disk) / 1e3,
+                  result.LatencyStdDevUs(disk) / 1e3);
+    }
+    // Each shard's average is over all operations, so the shard sum is the
+    // engine-wide average.
+    const DiskModel& primary = disks.front();
+    std::printf("  phase breakdown (avg %s us/op):", primary.name.c_str());
+    for (OpPhase phase :
+         {OpPhase::kSearch, OpPhase::kInsert, OpPhase::kSmo, OpPhase::kMaintenance}) {
+      double avg = 0.0;
+      for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+        avg += engine->shard(s)->breakdown().AvgLatencyUs(phase, primary, result.operations);
+      }
+      std::printf(" %s=%.1f", OpPhaseName(phase), avg);
+    }
+    std::printf("\n  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
+                stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
+                static_cast<unsigned long long>(stats.height),
+                static_cast<unsigned long long>(stats.smo_count));
+    if (options.durability != DurabilityPolicy::kNone) {
+      std::printf("  durability: %s, %llu wal writes in window, %llu checkpoints\n",
+                  DurabilityPolicyName(options.durability),
+                  static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
+                  static_cast<unsigned long long>(SumDurable(*engine).checkpoints));
+    }
   }
-
-  std::printf(
-      "%s on %s / %s: %llu ops, %zu threads x %zu shards (%s locking), "
-      "%zu bulkloaded keys\n",
-      args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
-      static_cast<unsigned long long>(result.operations), args.threads,
-      engine.num_shards(), ShardLockModeName(engine_options.shard_lock_mode),
-      w.bulk.size());
-  std::printf("  blocks/op: %.2f read, %.2f written\n",
-              static_cast<double>(result.io.TotalReads()) / ops_den,
-              static_cast<double>(result.io.TotalWrites()) / ops_den);
-  std::printf("  buffer hit rate: inner %.3f, leaf %.3f, overall %.3f\n",
-              result.io.HitRateFor(FileClass::kInner),
-              result.io.HitRateFor(FileClass::kLeaf), result.io.OverallHitRate());
-  for (const DiskModel& disk : disks) {
-    std::printf("  %s: %.1f ops/s (modeled, slowest-thread makespan), p99 %.2f ms\n",
-                disk.name.c_str(), result.ThroughputOps(disk),
-                result.LatencyPercentileUs(0.99, disk) / 1e3);
-  }
-  std::printf("  storage: %.2f MiB total, %.2f MiB invalid; height=%llu; smos=%llu\n",
-              stats.disk_bytes / 1048576.0, stats.freed_bytes / 1048576.0,
-              static_cast<unsigned long long>(stats.height),
-              static_cast<unsigned long long>(stats.smo_count));
-  if (options.durability != DurabilityPolicy::kNone) {
-    std::printf("  durability: %s, %llu wal writes in window (per-shard WALs, shared "
-                "group-commit window)\n",
-                DurabilityPolicyName(options.durability),
-                static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)));
+  if (args.recover) {
+    return RunRecoveryDemo(args, options, store.slot(0), std::move(engine), w.bulk);
   }
   return 0;
 }
@@ -882,7 +777,7 @@ int RunCommand(const CliArgs& args) {
     return rc;
   }
   if (args.recover && (args.threads > 1 || args.shards > 1)) {
-    std::fprintf(stderr, "--recover supports the sequential path only (threads=shards=1)\n");
+    std::fprintf(stderr, "--recover supports one thread and one shard only (threads=shards=1)\n");
     return 2;
   }
   if (args.recover && options.durability == DurabilityPolicy::kNone) {
@@ -919,10 +814,7 @@ int RunCommand(const CliArgs& args) {
   ScopedTempDeviceDir temp_device_dir;
   if (MaybeMakeTempDeviceDir(&options, &temp_device_dir) != 0) return 1;
 
-  if (args.threads == 1 && args.shards == 1) {
-    return RunSequential(args, options, keys, spec, &telemetry);
-  }
-  return RunEngine(args, options, keys, spec, &telemetry);
+  return RunOnEngine(args, options, keys, spec, &telemetry);
 }
 
 /// `serve`: bulkload (or `--recover` rebuild) a ShardedEngine with the same
