@@ -9,7 +9,7 @@
 // --batch ops in flight (one Call at a time), so offered load scales with
 // --clients and queueing delay shows up in the tail, not in a drop counter.
 //
-//   server_loadgen --connect unix:/tmp/liod.sock|tcp:PORT
+//   server_loadgen --connect unix:/tmp/liod.sock|tcp:[HOST:]PORT
 //                  [--clients 1,2,4,8] [--ops N] [--batch N]
 //                  [--dataset fb] [--bulk N] [--seed N]
 //                  [--workload ycsb-c] [--zipf 0.99] [--scan-length N]
@@ -48,6 +48,7 @@
 
 #include "bench_common.h"
 #include "server/kv_client.h"
+#include "server/net.h"
 #include "workload/datasets.h"
 #include "workload/workloads.h"
 
@@ -56,7 +57,7 @@ using namespace liod;
 namespace {
 
 struct LoadgenArgs {
-  std::string connect;            ///< unix:PATH | tcp:PORT (127.0.0.1)
+  server::Endpoint connect;       ///< --connect unix:PATH | tcp:[HOST:]PORT
   std::vector<std::size_t> clients = {1};
   std::size_t ops = 50'000;       ///< total per measurement, split across clients
   std::size_t batch = 1;          ///< ops per request frame
@@ -74,7 +75,7 @@ struct LoadgenArgs {
 
 void Usage() {
   std::fprintf(stderr,
-               "server_loadgen --connect unix:PATH|tcp:PORT [--clients 1,2,4,8]\n"
+               "server_loadgen --connect unix:PATH|tcp:[HOST:]PORT [--clients 1,2,4,8]\n"
                "               [--ops N] [--batch N] [--dataset NAME] [--bulk N]\n"
                "               [--seed N] [--workload TYPE] [--zipf THETA]\n"
                "               [--scan-length N] [--label NAME]\n"
@@ -95,7 +96,10 @@ bool Parse(int argc, char** argv, LoadgenArgs* args) {
       std::fprintf(stderr, "missing value for %s\n", a.c_str());
       return false;
     } else if (a == "--connect") {
-      args->connect = v;
+      if (const Status status = server::ParseEndpoint(v, &args->connect); !status.ok()) {
+        std::fprintf(stderr, "--connect: %s\n", status.message().c_str());
+        return false;
+      }
     } else if (a == "--clients") {
       args->clients.clear();
       for (const std::string& tok : bench::SplitList(v)) {
@@ -136,7 +140,7 @@ bool Parse(int argc, char** argv, LoadgenArgs* args) {
     }
   }
   if (args->batch == 0) args->batch = 1;
-  if (args->connect.empty()) {
+  if (args->connect.unix_path.empty() && args->connect.port < 0) {
     std::fprintf(stderr, "--connect is required\n");
     return false;
   }
@@ -150,13 +154,9 @@ Status ConnectWithRetry(const LoadgenArgs& args, server::KvClient* client) {
                         std::chrono::milliseconds(args.connect_wait_ms);
   Status status;
   while (true) {
-    if (args.connect.rfind("unix:", 0) == 0) {
-      status = client->ConnectUnix(args.connect.substr(5));
-    } else if (args.connect.rfind("tcp:", 0) == 0) {
-      status = client->ConnectTcp("127.0.0.1", std::atoi(args.connect.c_str() + 4));
-    } else {
-      return Status::InvalidArgument("--connect must be unix:PATH or tcp:PORT");
-    }
+    status = args.connect.unix_path.empty()
+                 ? client->ConnectTcp(args.connect.host, args.connect.port)
+                 : client->ConnectUnix(args.connect.unix_path);
     if (status.ok() || std::chrono::steady_clock::now() >= deadline) return status;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

@@ -17,7 +17,6 @@
 #include "core/index_factory.h"
 #include "kv/execute.h"
 #include "kv/request.h"
-#include "storage/device_factory.h"
 #include "storage/disk_model.h"
 #include "workload/datasets.h"
 
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("index: %s (device: %s)\n", index->name().c_str(),
-              DeviceKindName(EffectiveDeviceKind(options)));
+              DeviceKindName(options.device));
 
   // 1. Bulkload 100k keys from the fb-like dataset (payload = key + 1).
   const auto records = MakeDatasetRecords("fb", 100'000);

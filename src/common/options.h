@@ -325,14 +325,6 @@ struct IndexOptions {
   /// (Section 6.3); kept as an ablation (ablation_storage_reuse).
   bool reuse_freed_space = false;
 
-  /// Unit: filesystem path; default "" (empty); consumed by every index
-  /// family. When non-empty, index files are real files created in this
-  /// directory (FileBlockDevice). Empty uses the in-RAM simulated disk with
-  /// exact I/O accounting, which backs all benchmarks. Back-compat alias:
-  /// non-empty storage_dir with device == kModeled behaves as device == kFile
-  /// with device_path = storage_dir (see storage/device_factory.h).
-  std::string storage_dir;
-
   /// Storage backend of every paged file. Default kModeled, the in-RAM
   /// simulated disk behind all benchmarks. kFile/kDirect issue real syscalls
   /// (buffered / O_DIRECT with batched submission) so modeled numbers can be

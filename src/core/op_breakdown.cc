@@ -1,8 +1,5 @@
 #include "core/op_breakdown.h"
 
-#include <functional>
-#include <thread>
-
 namespace liod {
 
 const char* OpPhaseName(OpPhase phase) {
@@ -15,41 +12,28 @@ const char* OpPhaseName(OpPhase phase) {
   return "unknown";
 }
 
-OpBreakdown::Stripe& OpBreakdown::LocalStripe() const {
-  // Hashed once per thread, not per call: the stripe choice depends only on
-  // the thread, so it is shared by every OpBreakdown instance the thread
-  // touches.
-  static const thread_local std::size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kNumStripes;
-  return stripes_[stripe];
-}
-
 void OpBreakdown::Record(OpPhase phase, double cpu_us, const IoStatsSnapshot& io_delta) {
-  Stripe& stripe = LocalStripe();
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  PhaseTotals& t = stripe.totals[static_cast<int>(phase)];
-  t.cpu_us += cpu_us;
-  t.io += io_delta;
-  ++t.events;
+  stripes_.Update([&](std::array<PhaseTotals, kNumOpPhases>& totals) {
+    PhaseTotals& t = totals[static_cast<int>(phase)];
+    t.cpu_us += cpu_us;
+    t.io += io_delta;
+    ++t.events;
+  });
 }
 
 OpBreakdown::PhaseTotals OpBreakdown::totals(OpPhase phase) const {
   PhaseTotals merged;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    const PhaseTotals& t = stripe.totals[static_cast<int>(phase)];
+  stripes_.ForEach([&](const std::array<PhaseTotals, kNumOpPhases>& totals) {
+    const PhaseTotals& t = totals[static_cast<int>(phase)];
     merged.cpu_us += t.cpu_us;
     merged.io += t.io;
     merged.events += t.events;
-  }
+  });
   return merged;
 }
 
 void OpBreakdown::Reset() {
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    for (auto& t : stripe.totals) t = PhaseTotals{};
-  }
+  stripes_.ForEach([](std::array<PhaseTotals, kNumOpPhases>& totals) { totals = {}; });
 }
 
 double OpBreakdown::AvgLatencyUs(OpPhase phase, const DiskModel& model,

@@ -5,8 +5,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
+#include "common/striped.h"
 #include "storage/disk_model.h"
 #include "storage/io_stats.h"
 
@@ -28,9 +28,9 @@ const char* OpPhaseName(OpPhase phase);
 /// Accumulates CPU time and I/O per phase across many operations.
 ///
 /// Thread-safe without a shared serialization point: totals are striped
-/// across a fixed set of mutex-guarded stripes, each thread hashing to one
-/// stripe, and totals() merges the stripes on read (the same
-/// merge-on-read shape as IoStats::ThreadTally). Every index op -- including
+/// (common/striped.h), each thread mapped to one stripe, and totals()
+/// merges the stripes on read (the same merge-on-read shape as
+/// IoStats::ThreadTally). Every index op -- including
 /// read-only lookups -- charges a PhaseScope here, and under the engine's
 /// shared lock mode those lookups run in parallel on one index
 /// instance; a single global mutex made Record a serialization point
@@ -60,14 +60,7 @@ class OpBreakdown {
   // odds low at the thread counts the engine runs.
   static constexpr std::size_t kNumStripes = 16;
 
-  struct Stripe {
-    mutable std::mutex mu;
-    std::array<PhaseTotals, kNumOpPhases> totals;
-  };
-
-  Stripe& LocalStripe() const;
-
-  mutable std::array<Stripe, kNumStripes> stripes_;
+  Striped<std::array<PhaseTotals, kNumOpPhases>, kNumStripes> stripes_;
 };
 
 /// RAII scope that charges elapsed CPU time and I/O to one phase. I/O is

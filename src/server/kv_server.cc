@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -17,6 +16,17 @@ namespace liod::server {
 
 namespace {
 
+// The server's metric names; counters() reads them back by name.
+constexpr char kQueueWaitUs[] = "server.queue_wait_us";
+constexpr char kExecuteUs[] = "server.execute_us";
+constexpr char kConnections[] = "server.connections";
+constexpr char kOps[] = "server.ops";
+constexpr char kBatchesOverloaded[] = "server.batches_overloaded";
+constexpr char kBatchesShutdownRejected[] = "server.batches_shutdown_rejected";
+constexpr char kMalformedFrames[] = "server.malformed_frames";
+constexpr char kStatsRequests[] = "server.stats_requests";
+constexpr char kQueueDepth[] = "server.queue_depth";
+
 double Us(std::chrono::steady_clock::duration d) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(d).count();
 }
@@ -28,6 +38,19 @@ std::uint32_t SalvageTag(const std::vector<std::byte>& body) {
   std::uint32_t tag = 0;
   for (int i = 0; i < 4; ++i) tag |= static_cast<std::uint32_t>(body[i]) << (8 * i);
   return tag;
+}
+
+/// The ServerCounters view of one registry snapshot.
+ServerCounters CountersFrom(const MetricsSnapshot& snapshot) {
+  ServerCounters c;
+  c.connections_accepted = snapshot.counters.at(kConnections);
+  c.batches_executed = snapshot.histograms.at(kExecuteUs).count;
+  c.ops_executed = snapshot.counters.at(kOps);
+  c.batches_overloaded = snapshot.counters.at(kBatchesOverloaded);
+  c.batches_shutdown_rejected = snapshot.counters.at(kBatchesShutdownRejected);
+  c.malformed_frames = snapshot.counters.at(kMalformedFrames);
+  c.stats_requests = snapshot.counters.at(kStatsRequests);
+  return c;
 }
 
 // --- StatsJson building blocks (no external JSON dependency, and nothing
@@ -58,7 +81,23 @@ void AppendField(std::string* out, const char* key, const char* v) {
 }  // namespace
 
 KvServer::KvServer(ShardedEngine* engine, ServerOptions options)
-    : engine_(engine), options_(std::move(options)) {}
+    : engine_(engine), options_(std::move(options)) {
+  if (options_.metrics == nullptr) {
+    owned_metrics_ = std::make_unique<MetricRegistry>();
+    options_.metrics = owned_metrics_.get();
+  }
+  MetricRegistry& metrics = *options_.metrics;
+  queue_wait_us_id_ = metrics.Histogram(kQueueWaitUs);
+  execute_us_id_ = metrics.Histogram(kExecuteUs);
+  connections_id_ = metrics.Counter(kConnections);
+  ops_id_ = metrics.Counter(kOps);
+  overloaded_id_ = metrics.Counter(kBatchesOverloaded);
+  shutdown_rejected_id_ = metrics.Counter(kBatchesShutdownRejected);
+  malformed_frames_id_ = metrics.Counter(kMalformedFrames);
+  stats_requests_id_ = metrics.Counter(kStatsRequests);
+  slow_ops_id_ = metrics.Counter("server.slow_ops");
+  slow_ops_dropped_id_ = metrics.Counter("server.slow_ops_dropped");
+}
 
 KvServer::~KvServer() { Shutdown(); }
 
@@ -71,37 +110,14 @@ Status KvServer::Start() {
     return Status::InvalidArgument("KvServer: workers must be >= 1");
   }
   LIOD_RETURN_IF_ERROR(engine_->FlushBuffers());  // fail fast on a dead engine
-  if (options_.metrics != nullptr) {
-    queue_wait_us_id_ = options_.metrics->Histogram("server.queue_wait_us");
-    execute_us_id_ = options_.metrics->Histogram("server.execute_us");
-    connections_id_ = options_.metrics->Counter("server.connections");
-    ops_id_ = options_.metrics->Counter("server.ops");
-    overloaded_id_ = options_.metrics->Counter("server.batches_overloaded");
-    shutdown_rejected_id_ = options_.metrics->Counter("server.batches_shutdown_rejected");
-    stats_requests_id_ = options_.metrics->Counter("server.stats_requests");
-    slow_ops_id_ = options_.metrics->Counter("server.slow_ops");
-    slow_ops_dropped_id_ = options_.metrics->Counter("server.slow_ops_dropped");
-    options_.metrics->RegisterGauge("server.queue_depth", [this] {
-      return static_cast<double>(queue_depth());
-    });
-    queue_gauge_registered_ = true;
-  }
   if (options_.slow_op_us > 0.0) {
     slow_ring_ = std::make_unique<SlowOpRing>(options_.slow_op_capacity);
   }
-  if (!options_.unix_path.empty()) {
-    LIOD_RETURN_IF_ERROR(ListenUnix(options_.unix_path, &unix_fd_));
-  }
-  if (options_.tcp_port >= 0) {
-    const Status status =
-        ListenTcp(options_.tcp_host, options_.tcp_port, &tcp_fd_, &tcp_port_);
-    if (!status.ok()) {
-      if (unix_fd_ >= 0) ::close(unix_fd_);
-      unix_fd_ = -1;
-      return status;
-    }
-  }
+  LIOD_RETURN_IF_ERROR(ListenAll(options_.unix_path, options_.tcp_host, options_.tcp_port,
+                                &unix_fd_, &tcp_fd_, &tcp_port_));
   started_ = true;
+  options_.metrics->RegisterGauge(kQueueDepth,
+                                  [this] { return static_cast<double>(queue_depth()); });
   if (unix_fd_ >= 0) {
     accept_threads_.emplace_back(&KvServer::AcceptLoop, this, unix_fd_, false);
   }
@@ -114,31 +130,18 @@ Status KvServer::Start() {
 
 void KvServer::AcceptLoop(int listen_fd, bool tcp) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (draining_.load()) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS || errno == ENOMEM) {
-        // Out of descriptors or memory. The pending connection stays queued
-        // and keeps the listener readable, so an immediate retry would spin:
-        // free what ended conversations hold, back off, then try again.
-        {
+    const int fd = AcceptWithBackoff(
+        listen_fd, [this] { return draining_.load(); },
+        [this] {
+          // Out of descriptors or memory: free what ended conversations hold.
           std::lock_guard<std::mutex> lock(conns_mu_);
           ReleaseFinishedLocked();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      return;  // listener closed or broken: stop accepting
-    }
+        });
+    if (fd < 0) return;  // draining, or the listener closed or broke
     if (tcp) SetTcpNoDelay(fd);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.connections_accepted;
-    }
-    if (options_.metrics != nullptr) options_.metrics->Add(connections_id_);
+    options_.metrics->Add(connections_id_);
     std::lock_guard<std::mutex> lock(conns_mu_);
     ReleaseFinishedLocked();
     // Started under conns_mu_, so the other listener's accept thread never
@@ -173,11 +176,7 @@ void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       if (read_status.code() == Status::Code::kInvalidArgument) {
         // Hostile length prefix: answer unaddressably (tag 0) then close --
         // the stream cannot be re-synchronized past a bad length.
-        {
-          std::lock_guard<std::mutex> lock(counters_mu_);
-          ++counters_.malformed_frames;
-        }
-        RespondRejection(conn.get(), 0, 1, Status::Code::kInvalidArgument);
+        RejectFrame(conn.get(), 0, 1, Status::Code::kInvalidArgument);
       }
       break;  // clean EOF, truncated frame, or socket error: drop the conn
     }
@@ -191,11 +190,7 @@ void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       // Malformed body (garbage op kind, count mismatch, ...): the fuzz
       // contract -- an error response, never a crash. The stream itself is
       // still framed, so the connection survives.
-      {
-        std::lock_guard<std::mutex> lock(counters_mu_);
-        ++counters_.malformed_frames;
-      }
-      RespondRejection(conn.get(), SalvageTag(body), 1, Status::Code::kInvalidArgument);
+      RejectFrame(conn.get(), SalvageTag(body), 1, Status::Code::kInvalidArgument);
       continue;
     }
     const auto decoded = std::chrono::steady_clock::now();
@@ -282,14 +277,12 @@ void KvServer::ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatc
   // Per-op outcomes land in the response codes; a hard batch failure is
   // already reflected there too, so the wire answer is complete either way.
   (void)engine_->Execute(*batch);
-  const bool timed = options_.metrics != nullptr || slow_ring_ != nullptr;
-  const double queue_us = timed ? Us(start - decoded) : 0.0;
-  const double execute_us = timed ? Us(std::chrono::steady_clock::now() - start) : 0.0;
-  if (options_.metrics != nullptr) {
-    options_.metrics->Observe(queue_wait_us_id_, queue_us);
-    options_.metrics->Observe(execute_us_id_, execute_us);
-    options_.metrics->Add(ops_id_, batch->requests.size());
-  }
+  const double queue_us = Us(start - decoded);
+  const double execute_us = Us(std::chrono::steady_clock::now() - start);
+  MetricRegistry& metrics = *options_.metrics;
+  metrics.Observe(queue_wait_us_id_, queue_us);
+  metrics.Observe(execute_us_id_, execute_us);
+  metrics.Add(ops_id_, batch->requests.size());
   if (slow_ring_ != nullptr && queue_us + execute_us >= options_.slow_op_us) {
     // The batch is the admission/execution unit, so its latencies are
     // attributed to each of its ops (exact for single-op frames).
@@ -300,32 +293,22 @@ void KvServer::ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatc
       rec.shard = static_cast<std::uint32_t>(engine_->ShardFor(req.key));
       rec.queue_us = queue_us;
       rec.execute_us = execute_us;
-      const bool evicted = slow_ring_->Record(rec);
-      if (options_.metrics != nullptr) {
-        options_.metrics->Add(slow_ops_id_);
-        if (evicted) options_.metrics->Add(slow_ops_dropped_id_);
-      }
+      metrics.Add(slow_ops_id_);
+      if (slow_ring_->Record(rec)) metrics.Add(slow_ops_dropped_id_);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.batches_executed;
-    counters_.ops_executed += batch->requests.size();
-  }
-  Respond(conn, tag, batch->responses);
+  std::vector<std::byte> body;
+  if (EncodeResponseBody(tag, batch->responses, &body).ok()) WriteFrame(conn, body);
 }
 
 void KvServer::RejectFrame(Connection* conn, std::uint32_t tag, std::size_t op_count,
                            Status::Code code) {
-  const bool overloaded = code == Status::Code::kOverloaded;
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++(overloaded ? counters_.batches_overloaded : counters_.batches_shutdown_rejected);
-  }
-  if (options_.metrics != nullptr) {
-    options_.metrics->Add(overloaded ? overloaded_id_ : shutdown_rejected_id_);
-  }
-  RespondRejection(conn, tag, op_count, code);
+  options_.metrics->Add(code == Status::Code::kOverloaded      ? overloaded_id_
+                        : code == Status::Code::kShuttingDown ? shutdown_rejected_id_
+                                                               : malformed_frames_id_);
+  std::vector<std::byte> body;
+  EncodeRejectionBody(tag, op_count, code, &body);
+  WriteFrame(conn, body);
 }
 
 void KvServer::FinishPending(Connection* conn) {
@@ -336,23 +319,7 @@ void KvServer::FinishPending(Connection* conn) {
   conn->pending_cv.notify_all();
 }
 
-void KvServer::Respond(Connection* conn, std::uint32_t tag,
-                       std::span<const kv::Response> responses) {
-  std::vector<std::byte> body;
-  if (!EncodeResponseBody(tag, responses, &body).ok()) return;
-  std::vector<std::byte> frame;
-  FrameBody(body, &frame);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->closed.load(std::memory_order_relaxed)) return;
-  if (!WriteAll(conn->fd, frame).ok()) {
-    conn->closed.store(true, std::memory_order_relaxed);
-  }
-}
-
-void KvServer::RespondRejection(Connection* conn, std::uint32_t tag,
-                                std::size_t op_count, Status::Code code) {
-  std::vector<std::byte> body;
-  EncodeRejectionBody(tag, op_count, code, &body);
+void KvServer::WriteFrame(Connection* conn, std::span<const std::byte> body) {
   std::vector<std::byte> frame;
   FrameBody(body, &frame);
   std::lock_guard<std::mutex> lock(conn->write_mu);
@@ -363,23 +330,12 @@ void KvServer::RespondRejection(Connection* conn, std::uint32_t tag,
 }
 
 void KvServer::HandleStatsRequest(Connection* conn, std::uint32_t tag) {
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.stats_requests;
-  }
-  if (options_.metrics != nullptr) options_.metrics->Add(stats_requests_id_);
+  options_.metrics->Add(stats_requests_id_);
   std::vector<std::byte> body;
   if (!EncodeStatsResponseBody(tag, StatsJson(), &body).ok()) {
-    RespondRejection(conn, tag, 1, Status::Code::kInvalidArgument);
-    return;
+    EncodeRejectionBody(tag, 1, Status::Code::kInvalidArgument, &body);
   }
-  std::vector<std::byte> frame;
-  FrameBody(body, &frame);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->closed.load(std::memory_order_relaxed)) return;
-  if (!WriteAll(conn->fd, frame).ok()) {
-    conn->closed.store(true, std::memory_order_relaxed);
-  }
+  WriteFrame(conn, body);
 }
 
 std::size_t KvServer::queue_depth() const {
@@ -393,22 +349,10 @@ SlowOpRing::Snapshot KvServer::slow_ops() const {
 }
 
 std::string KvServer::StatsJson() const {
-  const ServerCounters c = counters();
-  double queue_wait_p99 = 0.0;
-  double execute_p99 = 0.0;
-  std::string metrics_json = "null";
-  if (options_.metrics != nullptr) {
-    const MetricsSnapshot snap = options_.metrics->Snapshot();
-    if (const auto it = snap.histograms.find("server.queue_wait_us");
-        it != snap.histograms.end()) {
-      queue_wait_p99 = it->second.Quantile(0.99);
-    }
-    if (const auto it = snap.histograms.find("server.execute_us");
-        it != snap.histograms.end()) {
-      execute_p99 = it->second.Quantile(0.99);
-    }
-    metrics_json = snap.ToJson();
-  }
+  const MetricsSnapshot snap = options_.metrics->Snapshot();
+  const ServerCounters c = CountersFrom(snap);
+  const double queue_wait_p99 = snap.histograms.at(kQueueWaitUs).Quantile(0.99);
+  const double execute_p99 = snap.histograms.at(kExecuteUs).Quantile(0.99);
 
   std::string out = "{\"schema\":\"liod-stats/1\",\"server\":{";
   AppendField(&out, "connections_accepted", c.connections_accepted);
@@ -499,7 +443,7 @@ std::string KvServer::StatsJson() const {
     }
     out += "}";
   }
-  out += "],\"metrics\":" + metrics_json + "}";
+  out += "],\"metrics\":" + snap.ToJson() + "}";
   return out;
 }
 
@@ -508,10 +452,7 @@ Status KvServer::Shutdown() {
   stopped_ = true;
   // The queue-depth gauge's callback reads this object; drop it before any
   // teardown so a concurrent registry snapshot cannot race the drain.
-  if (queue_gauge_registered_) {
-    options_.metrics->UnregisterGauge("server.queue_depth");
-    queue_gauge_registered_ = false;
-  }
+  options_.metrics->UnregisterGauge(kQueueDepth);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     draining_.store(true);
@@ -521,16 +462,8 @@ Status KvServer::Shutdown() {
   // drains (a reader waits for its in-flight responses before exiting).
   queue_cv_.notify_all();
   // 1. Stop accepting: close the listeners, unblocking accept().
-  if (unix_fd_ >= 0) {
-    ::shutdown(unix_fd_, SHUT_RDWR);
-    ::close(unix_fd_);
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::shutdown(tcp_fd_, SHUT_RDWR);
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
+  CloseListener(&unix_fd_);
+  CloseListener(&tcp_fd_);
   for (std::thread& t : accept_threads_) t.join();
   accept_threads_.clear();
   // 2. Stop reading: shut down each connection's read side so its reader
@@ -563,8 +496,7 @@ Status KvServer::Shutdown() {
 }
 
 ServerCounters KvServer::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  return counters_;
+  return CountersFrom(options_.metrics->Snapshot());
 }
 
 }  // namespace liod::server

@@ -39,25 +39,28 @@ struct ServerOptions {
   /// this are shed with kOverloaded on every op (never executed, never
   /// blocked on). One-request frames bypass the queue and are never shed.
   std::size_t queue_capacity = 64;
-  /// Optional telemetry (server.* counters/histograms, "net" spans).
+  /// Registry the server counts in (the server.* counters, histograms and
+  /// queue-depth gauge behind counters() and the stats op). Null: the server
+  /// counts in a registry of its own. Non-null: it must outlive the server.
   MetricRegistry* metrics = nullptr;
+  /// Optional "net" spans.
   TraceRecorder* trace = nullptr;
   /// Slow-op capture threshold in microseconds over a batch's queue-wait +
   /// execute time: every op of a batch at/over it is recorded in a bounded
   /// ring (slow_ops(), the stats op, /stats.json). 0 (default) disables
-  /// capture entirely -- no ring, no per-batch clock reads beyond what
-  /// metrics already take.
+  /// capture entirely: no ring.
   double slow_op_us = 0.0;
   /// Ring capacity when slow_op_us > 0; older entries are dropped (and
   /// counted) once it fills.
   std::size_t slow_op_capacity = 128;
 };
 
-/// Point-in-time admission/execution counters (tests and the CLI's exit
-/// report read these; they are maintained independently of MetricRegistry).
+/// Point-in-time admission/execution counters, read from one snapshot of the
+/// server's registry (tests and the CLI's exit report use them; the stats
+/// op's "server" block and /metrics show the same numbers).
 struct ServerCounters {
   std::uint64_t connections_accepted = 0;
-  std::uint64_t batches_executed = 0;
+  std::uint64_t batches_executed = 0;  ///< samples in server.execute_us
   std::uint64_t ops_executed = 0;
   std::uint64_t batches_overloaded = 0;      ///< shed by the full queue
   std::uint64_t batches_shutdown_rejected = 0;  ///< failed during drain
@@ -116,6 +119,9 @@ class KvServer {
   /// Actual TCP port (after Start, when tcp_port was 0).
   int tcp_port() const { return tcp_port_; }
 
+  /// The server.* counters of one registry snapshot. Exact once the server is
+  /// quiescent; taken while frames execute, it may miss the counts of a
+  /// frame in flight. A registry shared by two servers sums both.
   ServerCounters counters() const;
 
   /// Batches admitted but not yet popped by a worker.
@@ -126,10 +132,10 @@ class KvServer {
 
   /// The server's one-call observability document ("liod-stats/1" JSON):
   /// admission/execution counters, queue depth, queue-wait/execute p99s,
-  /// the slow-op ring, per-shard I/O and heat (hot keys + mix), and -- when
-  /// a registry is attached -- its full liod-telemetry/1 snapshot under
-  /// "metrics". Serves both the wire stats op and the exporter's
-  /// /stats.json; safe to call from any thread while serving.
+  /// the slow-op ring, per-shard I/O and heat (hot keys + mix), and the
+  /// registry's full liod-telemetry/1 snapshot under "metrics", all from one
+  /// snapshot. Serves both the wire stats op and the exporter's /stats.json;
+  /// safe to call from any thread while serving.
   std::string StatsJson() const;
 
  private:
@@ -158,10 +164,9 @@ class KvServer {
 
   /// Accepts connections until the server drains or the listener closes.
   /// Each accept first releases the connections whose readers have
-  /// finished. Running out of descriptors or memory (EMFILE, ENFILE,
-  /// ENOBUFS, ENOMEM) releases them too, then retries after a short sleep
-  /// instead of giving up. `tcp` sets TCP_NODELAY on every accepted
-  /// connection.
+  /// finished. Running out of descriptors or memory releases them too, then
+  /// retries after a short sleep instead of giving up (AcceptWithBackoff).
+  /// `tcp` sets TCP_NODELAY on every accepted connection.
   void AcceptLoop(int listen_fd, bool tcp);
   /// Joins and closes every connection whose reader has finished. Requires
   /// conns_mu_.
@@ -169,22 +174,21 @@ class KvServer {
   void ReaderLoop(const std::shared_ptr<Connection>& conn);
   void WorkerLoop();
   /// Executes one frame and answers it: the queue-wait (decode to start of
-  /// execution) and execute histograms, the "dispatch" span, the slow-op
-  /// ring, ServerCounters and the response. The reader calls it for a
+  /// execution) and execute histograms, the ops counter, the "dispatch"
+  /// span, the slow-op ring and the response. The reader calls it for a
   /// one-request frame, a worker for a popped one; `batch` is the caller's
   /// reusable scratch holding the frame's requests.
   void ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatch* batch,
                     std::chrono::steady_clock::time_point decoded);
-  /// Counts a frame refused before execution (kOverloaded or kShuttingDown)
-  /// and answers it with an all-ops rejection.
+  /// Counts a frame refused before execution -- kOverloaded, kShuttingDown,
+  /// or kInvalidArgument for a malformed one -- and answers it with an
+  /// all-ops rejection.
   void RejectFrame(Connection* conn, std::uint32_t tag, std::size_t op_count,
                    Status::Code code);
-  /// Encodes and writes one response frame under conn->write_mu. Write
-  /// errors mark the connection closed (the peer hung up; nothing to do).
-  void Respond(Connection* conn, std::uint32_t tag,
-               std::span<const kv::Response> responses);
-  void RespondRejection(Connection* conn, std::uint32_t tag, std::size_t op_count,
-                        Status::Code code);
+  /// Frames `body` and writes it under conn->write_mu: the one writer of
+  /// every response. A write error marks the connection closed (the peer
+  /// hung up; nothing to do).
+  void WriteFrame(Connection* conn, std::span<const std::byte> body);
   /// Answers a stats request INLINE on the reader thread: the admin plane
   /// bypasses the admission queue, so stats stay observable under overload
   /// (a full queue sheds data batches, never this).
@@ -211,28 +215,28 @@ class KvServer {
   /// miss it): readers stop executing and admitting (kShuttingDown), workers
   /// fail what is already queued.
   std::atomic<bool> draining_{false};
+  /// Set once the listeners are bound; from then until Shutdown the
+  /// server.queue_depth gauge (its callback reads queue_) is registered.
   bool started_ = false;
   bool stopped_ = false;
 
-  mutable std::mutex counters_mu_;
-  ServerCounters counters_;
+  /// The registry options_.metrics points at when the caller gave none.
+  std::unique_ptr<MetricRegistry> owned_metrics_;
 
   /// Non-null iff options_.slow_op_us > 0 (created in Start).
   std::unique_ptr<SlowOpRing> slow_ring_;
 
-  // Telemetry ids (valid only when options_.metrics != nullptr).
+  // Ids in options_.metrics, registered by the constructor.
   std::size_t queue_wait_us_id_ = 0;
   std::size_t execute_us_id_ = 0;
   std::size_t connections_id_ = 0;
   std::size_t ops_id_ = 0;
   std::size_t overloaded_id_ = 0;
   std::size_t shutdown_rejected_id_ = 0;
+  std::size_t malformed_frames_id_ = 0;
   std::size_t stats_requests_id_ = 0;
   std::size_t slow_ops_id_ = 0;
   std::size_t slow_ops_dropped_id_ = 0;
-  /// True once the server.queue_depth gauge is registered (unregistered in
-  /// Shutdown -- its callback reads queue_ through this object).
-  bool queue_gauge_registered_ = false;
 };
 
 }  // namespace liod::server

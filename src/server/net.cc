@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 namespace liod::server {
 
@@ -16,6 +18,13 @@ namespace {
 
 Status Errno(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
+}
+
+Status CheckPort(int port) {
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(port) + " is outside 0-65535");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -97,6 +106,7 @@ Status ListenUnix(const std::string& path, int* out) {
 }
 
 Status ListenTcp(const std::string& host, int port, int* out, int* bound_port) {
+  LIOD_RETURN_IF_ERROR(CheckPort(port));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -128,6 +138,22 @@ Status ListenTcp(const std::string& host, int port, int* out, int* bound_port) {
   return Status::Ok();
 }
 
+Status ListenAll(const std::string& unix_path, const std::string& tcp_host, int tcp_port,
+                 int* unix_fd, int* tcp_fd, int* bound_port) {
+  if (!unix_path.empty()) LIOD_RETURN_IF_ERROR(ListenUnix(unix_path, unix_fd));
+  if (tcp_port < 0) return Status::Ok();
+  const Status status = ListenTcp(tcp_host, tcp_port, tcp_fd, bound_port);
+  if (!status.ok()) CloseListener(unix_fd);
+  return status;
+}
+
+void CloseListener(int* fd) {
+  if (*fd < 0) return;
+  ::shutdown(*fd, SHUT_RDWR);
+  ::close(*fd);
+  *fd = -1;
+}
+
 Status ConnectUnix(const std::string& path, int* out) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -147,6 +173,7 @@ Status ConnectUnix(const std::string& path, int* out) {
 }
 
 Status ConnectTcp(const std::string& host, int port, int* out) {
+  LIOD_RETURN_IF_ERROR(CheckPort(port));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -168,6 +195,47 @@ Status ConnectTcp(const std::string& host, int port, int* out) {
 void SetTcpNoDelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+int AcceptWithBackoff(int listen_fd, const std::function<bool()>& stopping,
+                      const std::function<void()>& on_exhausted) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) return fd;
+    if (stopping()) return -1;
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    if (errno != EMFILE && errno != ENFILE && errno != ENOBUFS && errno != ENOMEM) {
+      return -1;
+    }
+    if (on_exhausted) on_exhausted();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+Status ParseEndpoint(const std::string& spec, Endpoint* out) {
+  Endpoint endpoint;
+  bool ok = false;
+  if (spec.rfind("unix:", 0) == 0) {
+    endpoint.unix_path = spec.substr(5);
+    ok = !endpoint.unix_path.empty();
+  } else if (spec.rfind("tcp:", 0) == 0) {
+    std::string port = spec.substr(4);
+    if (const std::size_t colon = port.rfind(':'); colon != std::string::npos) {
+      endpoint.host = port.substr(0, colon);
+      port.erase(0, colon + 1);
+    }
+    // At most five digits, so stoi cannot overflow before the range check.
+    ok = !endpoint.host.empty() && !port.empty() && port.size() <= 5 &&
+         port.find_first_not_of("0123456789") == std::string::npos;
+    if (ok) endpoint.port = std::stoi(port);
+    ok = ok && CheckPort(endpoint.port).ok();
+  }
+  if (!ok) {
+    return Status::InvalidArgument("bad endpoint '" + spec +
+                                   "' (want unix:PATH or tcp:[HOST:]PORT)");
+  }
+  *out = std::move(endpoint);
+  return Status::Ok();
 }
 
 }  // namespace liod::server

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,12 +35,44 @@ Status ReadFrameBody(int fd, std::uint32_t max_body, std::vector<std::byte>* bod
 Status ListenUnix(const std::string& path, int* out);
 
 /// Creates, binds, and listens on a TCP socket (SO_REUSEADDR). `port` 0
-/// picks an ephemeral port; `bound_port` returns the actual one.
+/// picks an ephemeral port; `bound_port` returns the actual one. A port
+/// outside 0-65535 is kInvalidArgument.
 Status ListenTcp(const std::string& host, int port, int* out, int* bound_port);
 
-/// Client-side connects. ConnectTcp sets TCP_NODELAY (SetTcpNoDelay).
+/// Binds a unix listener when `unix_path` is non-empty and a TCP one when
+/// `tcp_port` >= 0. On failure neither stays open; an unbound one stays -1.
+Status ListenAll(const std::string& unix_path, const std::string& tcp_host, int tcp_port,
+                 int* unix_fd, int* tcp_fd, int* bound_port);
+
+/// Shuts down and closes a listening socket, waking an accept() blocked on
+/// it, and sets `*fd` to -1. Does nothing when `*fd` is -1.
+void CloseListener(int* fd);
+
+/// Client-side connects. ConnectTcp sets TCP_NODELAY (SetTcpNoDelay) and
+/// rejects a port outside 0-65535 with kInvalidArgument.
 Status ConnectUnix(const std::string& path, int* out);
 Status ConnectTcp(const std::string& host, int port, int* out);
+
+/// Waits for the next connection on `listen_fd` and returns its fd, or -1
+/// once `stopping()` is true or the listener is closed or broken. Running out
+/// of descriptors or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) does not end
+/// the wait: `on_exhausted` (if set) frees what the caller can, and accept
+/// is retried after 10 ms, since the queued connection would make an
+/// immediate retry spin.
+int AcceptWithBackoff(int listen_fd, const std::function<bool()>& stopping,
+                      const std::function<void()>& on_exhausted = nullptr);
+
+/// A socket address as the command-line tools spell it: `unix:PATH` or
+/// `tcp:[HOST:]PORT`.
+struct Endpoint {
+  std::string unix_path;           ///< non-empty for unix:PATH
+  std::string host = "127.0.0.1";  ///< tcp only
+  int port = -1;                   ///< tcp only; -1 for a unix endpoint
+};
+
+/// Parses `spec` into `out`. kInvalidArgument for any other prefix, an empty
+/// path or host, or a port that is not a decimal number in 0-65535.
+Status ParseEndpoint(const std::string& spec, Endpoint* out);
 
 /// Disables Nagle's algorithm on a connected TCP socket, so a small frame
 /// goes out at once instead of waiting for the peer to acknowledge the

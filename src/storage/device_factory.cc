@@ -12,26 +12,13 @@ namespace {
 std::atomic<std::uint64_t> g_device_counter{0};
 }  // namespace
 
-DeviceKind EffectiveDeviceKind(const IndexOptions& options) {
-  if (options.device == DeviceKind::kModeled && !options.storage_dir.empty()) {
-    return DeviceKind::kFile;
-  }
-  return options.device;
-}
-
-std::string EffectiveDevicePath(const IndexOptions& options) {
-  if (!options.device_path.empty()) return options.device_path;
-  return options.storage_dir;
-}
-
 Status MakeBlockDevice(const IndexOptions& options, const std::string& label,
                        std::unique_ptr<BlockDevice>* out) {
-  const DeviceKind kind = EffectiveDeviceKind(options);
-  if (kind == DeviceKind::kModeled) {
+  if (options.device == DeviceKind::kModeled) {
     *out = std::make_unique<MemoryBlockDevice>(options.block_size);
     return Status::Ok();
   }
-  const std::string dir = EffectiveDevicePath(options);
+  const std::string& dir = options.device_path;
   if (dir.empty()) {
     return Status::InvalidArgument(
         "device_path must be set when device != modeled (the CLI creates a "
@@ -40,7 +27,7 @@ Status MakeBlockDevice(const IndexOptions& options, const std::string& label,
   const std::uint64_t id = g_device_counter.fetch_add(1);
   const std::string path = dir + "/liod_" + std::to_string(::getpid()) + "_" +
                            std::to_string(id) + "_" + label + ".bin";
-  if (kind == DeviceKind::kFile) {
+  if (options.device == DeviceKind::kFile) {
     auto device = std::make_unique<FileBlockDevice>(path, options.block_size,
                                                     /*truncate=*/true, options.metrics,
                                                     options.device_batching);

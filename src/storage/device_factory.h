@@ -10,18 +10,8 @@
 
 namespace liod {
 
-/// Device kind after applying the storage_dir back-compat alias: a non-empty
-/// storage_dir with device == kModeled selects kFile (files in storage_dir),
-/// preserving the pre-DeviceKind behavior of that field.
-DeviceKind EffectiveDeviceKind(const IndexOptions& options);
-
-/// Directory the real devices create their files in: device_path, or
-/// storage_dir under the back-compat alias. Empty only for kModeled.
-std::string EffectiveDevicePath(const IndexOptions& options);
-
 /// Builds the block device every paged file sits on, honoring
-/// options.device / device_path / device_batching (and the storage_dir
-/// alias). Real devices get a unique file name derived from the pid, a
+/// options.device / device_path / device_batching. Real devices get a unique file name derived from the pid, a
 /// process-wide counter, and `label` (e.g. the FileClass name), and bind
 /// their submission telemetry to options.metrics. Fails with kIoError when
 /// the backing file cannot be created.

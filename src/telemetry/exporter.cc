@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <span>
@@ -155,18 +154,8 @@ Status MetricsExporter::Start() {
     return Status::InvalidArgument("MetricsExporter: no listener configured");
   }
   scrapes_id_ = options_.registry->Counter("exporter.scrapes");
-  if (!options_.unix_path.empty()) {
-    LIOD_RETURN_IF_ERROR(server::ListenUnix(options_.unix_path, &unix_fd_));
-  }
-  if (options_.tcp_port >= 0) {
-    const Status status =
-        server::ListenTcp(options_.tcp_host, options_.tcp_port, &tcp_fd_, &tcp_port_);
-    if (!status.ok()) {
-      if (unix_fd_ >= 0) ::close(unix_fd_);
-      unix_fd_ = -1;
-      return status;
-    }
-  }
+  LIOD_RETURN_IF_ERROR(server::ListenAll(options_.unix_path, options_.tcp_host,
+                                        options_.tcp_port, &unix_fd_, &tcp_fd_, &tcp_port_));
   started_ = true;
   if (unix_fd_ >= 0) {
     accept_threads_.emplace_back(&MetricsExporter::AcceptLoop, this, unix_fd_);
@@ -179,12 +168,9 @@ Status MetricsExporter::Start() {
 
 void MetricsExporter::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listener closed or broken
-    }
+    const int fd = server::AcceptWithBackoff(
+        listen_fd, [this] { return stopping_.load(std::memory_order_relaxed); });
+    if (fd < 0) return;  // stopping, or the listener closed or broke
     HandleConnection(fd);
     ::close(fd);
   }
@@ -257,16 +243,8 @@ void MetricsExporter::Shutdown() {
   if (!started_ || stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_relaxed);
-  if (unix_fd_ >= 0) {
-    ::shutdown(unix_fd_, SHUT_RDWR);
-    ::close(unix_fd_);
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::shutdown(tcp_fd_, SHUT_RDWR);
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
+  server::CloseListener(&unix_fd_);
+  server::CloseListener(&tcp_fd_);
   for (std::thread& t : accept_threads_) t.join();
   accept_threads_.clear();
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());

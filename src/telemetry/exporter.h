@@ -75,6 +75,10 @@ class MetricsExporter {
   int tcp_port() const { return tcp_port_; }
 
  private:
+  /// Serves connections one at a time until Shutdown or until the listener
+  /// closes. Running out of descriptors or memory backs off and retries
+  /// (server::AcceptWithBackoff), so a descriptor spike does not end the
+  /// endpoint.
   void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
 

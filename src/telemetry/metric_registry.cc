@@ -1,7 +1,6 @@
 #include "telemetry/metric_registry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -11,8 +10,6 @@
 namespace liod {
 
 namespace {
-
-std::atomic<std::uint64_t> g_next_registry_uid{1};
 
 /// JSON number formatting: doubles round-trip via %.17g only when they need
 /// it; %.12g is compact and exact for every value these metrics produce.
@@ -170,11 +167,6 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-MetricRegistry::MetricRegistry()
-    : uid_(g_next_registry_uid.fetch_add(1, std::memory_order_relaxed)) {}
-
-MetricRegistry::~MetricRegistry() = default;
-
 MetricRegistry::MetricId MetricRegistry::Counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = counter_ids_.try_emplace(name, counter_names_.size());
@@ -201,52 +193,39 @@ void MetricRegistry::UnregisterGauge(const std::string& name) {
   gauges_.erase(name);
 }
 
-MetricRegistry::Shard* MetricRegistry::LocalShard() const {
-  // Keyed by uid, never by address: an entry for a dead registry can match
-  // nothing, so address reuse cannot route one registry's metrics into
-  // another's shard. Stale entries cost 16 bytes each until thread exit.
-  static thread_local std::vector<std::pair<std::uint64_t, Shard*>> cache;
-  for (const auto& [uid, shard] : cache) {
-    if (uid == uid_) return shard;
-  }
-  auto owned = std::make_unique<Shard>();
-  Shard* shard = owned.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::move(owned));
-  }
-  cache.emplace_back(uid_, shard);
-  return shard;
-}
-
 void MetricRegistry::Add(MetricId counter, std::uint64_t delta) {
-  Shard* shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard->mu);
-  if (shard->counters.size() <= counter) shard->counters.resize(counter + 1, 0);
-  shard->counters[counter] += delta;
+  stripes_.Update([&](Cells& cells) {
+    if (cells.counters.size() <= counter) cells.counters.resize(counter + 1, 0);
+    cells.counters[counter] += delta;
+  });
 }
 
 void MetricRegistry::Observe(MetricId histogram, double value_us) {
-  Shard* shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard->mu);
-  if (shard->histograms.size() <= histogram) shard->histograms.resize(histogram + 1);
-  shard->histograms[histogram].Observe(value_us);
+  stripes_.Update([&](Cells& cells) {
+    if (cells.histograms.size() <= histogram) cells.histograms.resize(histogram + 1);
+    cells.histograms[histogram].Observe(value_us);
+  });
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   {
+    // mu_ keeps the name tables stable while the stripes merge; every id a
+    // stripe holds was issued before the merge, so it indexes both.
     std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& name : counter_names_) snapshot.counters[name] = 0;
-    for (const std::string& name : histogram_names_) snapshot.histograms[name];
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      for (std::size_t i = 0; i < shard->counters.size(); ++i) {
-        snapshot.counters[counter_names_[i]] += shard->counters[i];
+    std::vector<std::uint64_t> counters(counter_names_.size(), 0);
+    std::vector<HistogramSnapshot> histograms(histogram_names_.size());
+    stripes_.ForEach([&](const Cells& cells) {
+      for (std::size_t i = 0; i < cells.counters.size(); ++i) counters[i] += cells.counters[i];
+      for (std::size_t i = 0; i < cells.histograms.size(); ++i) {
+        histograms[i] += cells.histograms[i];
       }
-      for (std::size_t i = 0; i < shard->histograms.size(); ++i) {
-        snapshot.histograms[histogram_names_[i]] += shard->histograms[i];
-      }
+    });
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      snapshot.counters[counter_names_[i]] = counters[i];
+    }
+    for (std::size_t i = 0; i < histograms.size(); ++i) {
+      snapshot.histograms[histogram_names_[i]] = histograms[i];
     }
   }
   // Gauge callbacks run with mu_ released -- they take component locks that

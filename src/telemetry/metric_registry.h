@@ -6,10 +6,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/striped.h"
 
 namespace liod {
 
@@ -36,7 +37,7 @@ struct LatencyBuckets {
   static double UpperBound(int bucket);
 };
 
-/// Mergeable histogram state: the per-thread accumulation unit and the
+/// Mergeable histogram state: the per-stripe accumulation unit and the
 /// snapshot type. Quantiles are bucket-resolved: the true q-th sample is
 /// guaranteed to lie in [QuantileLowerBound(q), QuantileUpperBound(q)].
 struct HistogramSnapshot {
@@ -73,11 +74,13 @@ struct MetricsSnapshot {
 
 /// Named counters, callback gauges, and log-bucketed latency histograms.
 ///
-/// Hot-path contract: Add() and Observe() touch only the calling thread's
-/// shard (one uncontended mutex, no allocation after first use), so threads
-/// never serialize on a global lock the way a shared atomic-or-mutex counter
-/// table would. Snapshot() merges every thread shard and evaluates gauges;
-/// it is the slow path and may run concurrently with recording.
+/// Hot-path contract: Add() and Observe() lock one of a fixed set of
+/// stripes picked by the calling thread's number (common/striped.h), so
+/// threads rarely share a lock, and the footprint does not grow with the
+/// number of threads that ever recorded (a server records from a reader
+/// thread per connection). Snapshot() merges the stripes and evaluates
+/// gauges; it is the slow path and may run concurrently with recording,
+/// missing at most the records in flight.
 ///
 /// Registration (Counter/Histogram/RegisterGauge) is mutex-protected and
 /// meant for setup time, not per-op. Names are dotted lowercase
@@ -89,8 +92,7 @@ class MetricRegistry {
  public:
   using MetricId = std::size_t;
 
-  MetricRegistry();
-  ~MetricRegistry();
+  MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -109,30 +111,25 @@ class MetricRegistry {
   std::string ToJson() const { return Snapshot().ToJson(); }
 
  private:
-  struct Shard {
-    std::mutex mu;
+  /// One stripe's values, indexed by MetricId; grown on first use of an id.
+  struct Cells {
     std::vector<std::uint64_t> counters;
     std::vector<HistogramSnapshot> histograms;
   };
 
-  Shard* LocalShard() const;
-
-  /// Never-reused id distinguishing this registry in thread-local caches: a
-  /// destroyed registry's cache entries go stale instead of aliasing a new
-  /// registry that happens to reuse the address.
-  const std::uint64_t uid_;
+  static constexpr std::size_t kNumStripes = 16;  ///< as in OpBreakdown
 
   mutable std::mutex mu_;
   std::vector<std::string> counter_names_;
   std::vector<std::string> histogram_names_;
   std::map<std::string, MetricId> counter_ids_;
   std::map<std::string, MetricId> histogram_ids_;
-  mutable std::vector<std::unique_ptr<Shard>> shards_;
+  Striped<Cells, kNumStripes> stripes_;
 
   /// Gauges live under their own mutex, never under mu_: gauge callbacks
   /// reach back into component state (buffer stats, overlay sizes) whose own
-  /// locks are held at sites that record metrics -- and recording may take
-  /// mu_ to register a thread's shard. Evaluating callbacks under mu_ would
+  /// locks are held at sites that record metrics -- and Snapshot() holds mu_
+  /// while it takes every stripe's lock. Evaluating callbacks under mu_ would
   /// therefore close a lock cycle (registry -> component vs component ->
   /// registry). gauges_mu_ is only ever acquired with no component lock
   /// held (registration happens in constructors, unregistration in

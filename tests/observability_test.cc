@@ -2,17 +2,21 @@
 // src/engine/heat_tracker, src/server/slow_op_ring): the Prometheus text
 // mapping (liod_ names, shard labels, _total suffix, cumulative buckets with
 // a mandatory +Inf == _count), the HTTP exposition endpoint end to end over
-// unix and TCP listeners, the bounded slow-op ring's drop-oldest accounting,
+// unix and TCP listeners (and still serving after descriptors ran out), the
+// bounded slow-op ring's drop-oldest accounting,
 // and per-shard heat tracking -- SpaceSaving hot keys and the EWMA mix --
 // both standalone and wired through ShardedEngine's instrumented path.
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 namespace liod {
 namespace {
 
+using testing_util::DescriptorExhaustion;
 using testing_util::ToRecords;
 using testing_util::UniformKeys;
 
@@ -195,6 +200,45 @@ TEST(MetricsExporterTest, ServesOverUnixSocketAndShutdownUnlinks) {
 
   exporter.Shutdown();
   EXPECT_NE(::access(path.c_str(), F_OK), 0) << "socket file not unlinked";
+}
+
+TEST(MetricsExporterTest, AcceptKeepsServingAfterDescriptorExhaustion) {
+  // An accept() that fails for want of a descriptor must not end the
+  // endpoint: once descriptors free up, scrapes are answered again.
+  MetricRegistry registry;
+  registry.Add(registry.Counter("c"), 1);
+  ExporterOptions options;
+  options.tcp_port = 0;
+  options.registry = &registry;
+  {
+    // UBSan validates a polymorphic type the first time it sees it through a
+    // pipe, which cannot be opened while descriptors are exhausted: start an
+    // accept thread once beforehand so its type is already known.
+    MetricsExporter warm(options);
+    ASSERT_TRUE(warm.Start().ok());
+  }
+  MetricsExporter exporter(options);
+  {
+    DescriptorExhaustion exhaustion;
+    ASSERT_TRUE(exhaustion.exhausted());
+    exhaustion.FreeOne();  // room for the listener only
+    ASSERT_TRUE(exporter.Start().ok());
+    // The accept thread's first accept() finds no descriptor number left
+    // and fails with EMFILE.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+
+  int fd = -1;
+  ASSERT_TRUE(server::ConnectTcp("127.0.0.1", exporter.tcp_port(), &fd).ok());
+  // An endpoint that stopped accepting never answers: bound the wait so the
+  // test fails instead of hanging.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  const std::string response = HttpGet(fd, "GET /metrics HTTP/1.0");
+  EXPECT_NE(response.find("liod_c_total 1"), std::string::npos)
+      << "no response: the exporter stopped accepting";
+  exporter.Shutdown();
 }
 
 TEST(MetricsExporterTest, StartRequiresARegistryAndAListener) {

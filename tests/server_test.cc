@@ -1,22 +1,21 @@
-// The socket front-end (src/server/): protocol round trips, the
-// malformed-frame fuzz contract (error response or clean close -- never a
-// crash), admission-control shedding (kOverloaded, not a hang), one-request
-// frames run in order on the reader (never shed), connection release, the
-// shutdown-drain contract (queued batches answered kShuttingDown, never
-// silently dropped -- a TSan target), and the end-to-end
-// serve/shutdown/recover cycle answering the committed history bit-equal.
+// The socket front-end (src/server/): protocol round trips, port and
+// endpoint validation, the malformed-frame fuzz contract (error response or
+// clean close -- never a crash), admission-control shedding (kOverloaded,
+// not a hang), one-request frames run in order on the reader (never shed),
+// connection release, one count per event across counters(), the stats op
+// and the registry, the shutdown-drain contract (queued batches answered
+// kShuttingDown, never silently dropped -- a TSan target), and the
+// end-to-end serve/shutdown/recover cycle answering the committed history
+// bit-equal.
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -38,12 +37,14 @@
 #include "server/kv_server.h"
 #include "server/net.h"
 #include "server/protocol.h"
+#include "telemetry/exporter.h"
 #include "telemetry/metric_registry.h"
 #include "test_util.h"
 
 namespace liod {
 namespace {
 
+using testing_util::DescriptorExhaustion;
 using testing_util::RacingThreads;
 using testing_util::ToRecords;
 using testing_util::UniformKeys;
@@ -338,6 +339,47 @@ TEST(KvServerTest, ConnectTcpSetsNoDelay) {
   ::close(listen_fd);
 }
 
+TEST(NetTest, ListenAndConnectRejectPortsOutsideTheRange) {
+  // A uint16_t cast would wrap 70000 to port 4464 and -1 to 65535.
+  for (const int port : {-1, 65536, 70000}) {
+    SCOPED_TRACE("port " + std::to_string(port));
+    int fd = -1;
+    int bound = 0;
+    EXPECT_EQ(server::ListenTcp("127.0.0.1", port, &fd, &bound).code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(fd, -1);
+    EXPECT_EQ(server::ConnectTcp("127.0.0.1", port, &fd).code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(fd, -1);
+  }
+}
+
+TEST(NetTest, ParseEndpointAcceptsUnixPathsAndNumericTcpPortsOnly) {
+  server::Endpoint endpoint;
+  ASSERT_TRUE(server::ParseEndpoint("unix:/tmp/liod.sock", &endpoint).ok());
+  EXPECT_EQ(endpoint.unix_path, "/tmp/liod.sock");
+  EXPECT_EQ(endpoint.port, -1);
+
+  ASSERT_TRUE(server::ParseEndpoint("tcp:7000", &endpoint).ok());
+  EXPECT_TRUE(endpoint.unix_path.empty());
+  EXPECT_EQ(endpoint.host, "127.0.0.1");
+  EXPECT_EQ(endpoint.port, 7000);
+
+  ASSERT_TRUE(server::ParseEndpoint("tcp:10.0.0.2:0", &endpoint).ok());
+  EXPECT_EQ(endpoint.host, "10.0.0.2");
+  EXPECT_EQ(endpoint.port, 0);
+
+  ASSERT_TRUE(server::ParseEndpoint("tcp:65535", &endpoint).ok());
+  EXPECT_EQ(endpoint.port, 65535);
+
+  for (const char* bad : {"", "unix:", "tcp:", "tcp:abc", "tcp:12ab", "tcp:-1", "tcp:+80",
+                          "tcp:65536", "tcp:70000", "tcp:1234567", "tcp::80", "tcp:host:",
+                          "udp:80", "/tmp/liod.sock"}) {
+    EXPECT_EQ(server::ParseEndpoint(bad, &endpoint).code(), Status::Code::kInvalidArgument)
+        << bad;
+  }
+}
+
 TEST(KvServerTest, PipelinedTcpFramesDoNotWaitOnDelayedAcks) {
   // Small pipelined frames over TCP: with Nagle's algorithm on either end, a
   // frame waits for the ACK of the previous one, which the peer delays by up
@@ -408,54 +450,19 @@ TEST(KvServerTest, ClosedConnectionsReleaseTheirFds) {
   EXPECT_EQ(harness.server->counters().connections_accepted, 200u);
 }
 
-/// Lowers RLIMIT_NOFILE to just above the lowest free descriptor number and
-/// opens /dev/null until every number below the limit is taken, so the
-/// process's next new descriptor fails with EMFILE. The destructor closes the
-/// fillers and restores the limit, whatever path the test leaves by.
-class DescriptorExhaustion {
- public:
-  DescriptorExhaustion() {
-    const int lowest = ::open("/dev/null", O_RDONLY);
-    if (lowest < 0) return;
-    ::close(lowest);
-    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
-    rlimit lowered = saved_;
-    lowered.rlim_cur = static_cast<rlim_t>(lowest) + 8;
-    if (lowered.rlim_cur > saved_.rlim_cur || ::setrlimit(RLIMIT_NOFILE, &lowered) != 0) return;
-    limited_ = true;
-    for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0; fd = ::open("/dev/null", O_RDONLY)) {
-      fillers_.push_back(fd);
-    }
-    exhausted_ = errno == EMFILE && !fillers_.empty();
-  }
-
-  ~DescriptorExhaustion() {
-    for (int fd : fillers_) ::close(fd);
-    if (limited_) ::setrlimit(RLIMIT_NOFILE, &saved_);
-  }
-
-  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
-  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
-
-  bool exhausted() const { return exhausted_; }
-
-  /// Frees exactly one descriptor number for the caller's next open.
-  void FreeOne() {
-    ::close(fillers_.back());
-    fillers_.pop_back();
-  }
-
- private:
-  rlimit saved_{};
-  bool limited_ = false;
-  bool exhausted_ = false;
-  std::vector<int> fillers_;
-};
-
 TEST(KvServerTest, AcceptKeepsServingAfterDescriptorExhaustion) {
   // An accept() that fails for want of a descriptor must not stop the
   // listener for good: once descriptors free up, new connections are served.
   ServerHarness harness("emfile");
+  // One served connection first, held open to the end so its descriptor is
+  // not freed mid-test: UBSan validates a polymorphic type the first time it
+  // sees it through a pipe, which cannot be opened while descriptors are
+  // exhausted, so the connection and reader types must already be known.
+  server::KvClient warm;
+  ASSERT_TRUE(warm.ConnectUnix(harness.path).ok());
+  const std::vector<kv::Request> lookup = {{kv::OpKind::kLookup, harness.records[0].key, 0, 0}};
+  std::vector<kv::Response> warm_responses;
+  ASSERT_TRUE(warm.Call(lookup, &warm_responses).ok());
   int first = -1;
   {
     DescriptorExhaustion exhaustion;
@@ -779,6 +786,23 @@ TEST(KvServerStatsTest, StatsOpReconcilesWithInProcessCounters) {
   ::unlink(path.c_str());
 }
 
+TEST(KvServerStatsTest, FailedStartLeavesNoGaugeBehind) {
+  // The queue-depth gauge calls into the server, so a Start that fails to
+  // bind must not leave it in the caller's registry: Shutdown of a server
+  // that never started has nothing to unregister it with.
+  MetricRegistry registry;
+  const auto records = ToRecords(UniformKeys(500, 53));
+  ShardedEngine engine(ServerEngineOptions(1));
+  ASSERT_TRUE(engine.Bulkload(records).ok());
+  server::ServerOptions options;
+  options.unix_path = "/nonexistent_liod_dir/server.sock";
+  options.metrics = &registry;
+  server::KvServer server(&engine, options);
+  EXPECT_FALSE(server.Start().ok());
+  ASSERT_TRUE(server.Shutdown().ok());
+  EXPECT_EQ(registry.Snapshot().gauges.count("server.queue_depth"), 0u);
+}
+
 TEST(KvServerStatsTest, StatsOpAnswersWithoutARegistry) {
   ServerHarness harness("stats_plain");
   server::KvClient client;
@@ -786,7 +810,7 @@ TEST(KvServerStatsTest, StatsOpAnswersWithoutARegistry) {
   std::string json;
   ASSERT_TRUE(client.Stats(&json).ok());
   EXPECT_NE(json.find("\"schema\":\"liod-stats/1\""), std::string::npos);
-  EXPECT_NE(json.find("\"metrics\":null"), std::string::npos);
+  EXPECT_NE(json.find("\"metrics\":{"), std::string::npos);
   // Slow-op capture is off by default: the ring reports zero capacity.
   EXPECT_EQ(JsonUint(json, "capacity"), 0u);
 }
@@ -912,6 +936,118 @@ TEST(KvServerStatsTest, ReaderAndWorkerFramesRecordOneSampleEach) {
 
   ASSERT_TRUE(server.Shutdown().ok());
   ::unlink(path.c_str());
+}
+
+/// Count of the first `"name":{"count":N` histogram in a liod-telemetry/1
+/// document.
+std::uint64_t JsonHistogramCount(const std::string& json, const std::string& name) {
+  const std::size_t pos = json.find("\"" + name + "\":{");
+  EXPECT_NE(pos, std::string::npos) << "missing histogram " << name;
+  if (pos == std::string::npos) return 0;
+  return JsonUint(json.substr(pos), "count");
+}
+
+/// Value of the unlabelled Prometheus series `series` in exposition text.
+std::uint64_t PrometheusValue(const std::string& text, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const std::size_t pos = ("\n" + text).find(needle);
+  EXPECT_NE(pos, std::string::npos) << "missing series " << series;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + pos + needle.size() - 1, nullptr, 10);
+}
+
+TEST(KvServerStatsTest, EverySinkCountsTheSameFrames) {
+  // The server counts in one registry -- the caller's, or its own when the
+  // caller attaches none -- and counters(), the stats op's "server" block,
+  // the registry snapshot (and with it /metrics) read that one source.
+  for (const bool attach : {true, false}) {
+    SCOPED_TRACE(attach ? "registry attached" : "no registry");
+    MetricRegistry registry;
+    const auto records = ToRecords(UniformKeys(2000, 59));
+    ShardedEngine engine(ServerEngineOptions(2));
+    ASSERT_TRUE(engine.Bulkload(records).ok());
+    const std::string path = TestSocketPath(attach ? "sinks_attached" : "sinks_owned");
+    server::ServerOptions server_options;
+    server_options.unix_path = path;
+    if (attach) server_options.metrics = &registry;
+    server::KvServer server(&engine, server_options);
+    ASSERT_TRUE(server.Start().ok());
+
+    server::KvClient client;
+    ASSERT_TRUE(client.ConnectUnix(path).ok());
+    std::vector<kv::Response> responses;
+    for (int i = 0; i < 5; ++i) {  // 1-op frames: run on the reader
+      kv::RequestBatch batch;
+      batch.AddLookup(records[i].key);
+      ASSERT_TRUE(client.Call(batch.requests, &responses).ok());
+    }
+    for (int i = 0; i < 4; ++i) {  // 3-op frames: run on a worker
+      kv::RequestBatch batch;
+      for (int op = 0; op < 3; ++op) batch.AddLookup(records[10 + 3 * i + op].key);
+      ASSERT_TRUE(client.Call(batch.requests, &responses).ok());
+    }
+    // One malformed frame (garbage op kind) on a second connection.
+    const int fd = RawConnect(path);
+    std::vector<std::byte> body;
+    std::vector<std::byte> frame;
+    const std::vector<kv::Request> requests = {{kv::OpKind::kLookup, 42, 0, 0}};
+    ASSERT_TRUE(server::EncodeRequestBody(3, requests, &body).ok());
+    body[8] = std::byte{0xee};  // op kind byte
+    server::FrameBody(body, &frame);
+    ASSERT_TRUE(server::WriteAll(fd, frame).ok());
+    ASSERT_TRUE(server::ReadFrameBody(fd, server::kMaxFrameBytes, &body).ok());
+    ::close(fd);
+    std::string json;
+    ASSERT_TRUE(client.Stats(&json).ok());
+    ASSERT_TRUE(client.Stats(&json).ok());
+
+    const server::ServerCounters counters = server.counters();
+    EXPECT_EQ(counters.connections_accepted, 2u);
+    EXPECT_EQ(counters.batches_executed, 9u);
+    EXPECT_EQ(counters.ops_executed, 17u);
+    EXPECT_EQ(counters.malformed_frames, 1u);
+    EXPECT_EQ(counters.stats_requests, 2u);
+    EXPECT_EQ(counters.batches_overloaded, 0u);
+    EXPECT_EQ(counters.batches_shutdown_rejected, 0u);
+
+    // The stats op's "server" block.
+    EXPECT_EQ(JsonUint(json, "connections_accepted"), counters.connections_accepted);
+    EXPECT_EQ(JsonUint(json, "batches_executed"), counters.batches_executed);
+    EXPECT_EQ(JsonUint(json, "ops_executed"), counters.ops_executed);
+    EXPECT_EQ(JsonUint(json, "malformed_frames"), counters.malformed_frames);
+    EXPECT_EQ(JsonUint(json, "stats_requests"), counters.stats_requests);
+    EXPECT_GT(JsonUint(json, "execute_p99_us"), 0u);  // a bucket bound, >= 1 us
+
+    // The registry document the stats op carries, and the attached
+    // registry's own snapshot and Prometheus text.
+    const std::string metrics = json.substr(json.find("\"metrics\":{"));
+    EXPECT_EQ(JsonUint(metrics, "server.connections"), counters.connections_accepted);
+    EXPECT_EQ(JsonHistogramCount(metrics, "server.execute_us"), counters.batches_executed);
+    EXPECT_EQ(JsonUint(metrics, "server.ops"), counters.ops_executed);
+    EXPECT_EQ(JsonUint(metrics, "server.malformed_frames"), counters.malformed_frames);
+    EXPECT_EQ(JsonUint(metrics, "server.stats_requests"), counters.stats_requests);
+    if (attach) {
+      const MetricsSnapshot snap = registry.Snapshot();
+      EXPECT_EQ(snap.counters.at("server.connections"), counters.connections_accepted);
+      EXPECT_EQ(snap.histograms.at("server.execute_us").count, counters.batches_executed);
+      EXPECT_EQ(snap.counters.at("server.ops"), counters.ops_executed);
+      EXPECT_EQ(snap.counters.at("server.malformed_frames"), counters.malformed_frames);
+      EXPECT_EQ(snap.counters.at("server.stats_requests"), counters.stats_requests);
+      const std::string text = ToPrometheusText(snap);
+      EXPECT_EQ(PrometheusValue(text, "liod_server_connections_total"),
+                counters.connections_accepted);
+      EXPECT_EQ(PrometheusValue(text, "liod_server_execute_us_count"),
+                counters.batches_executed);
+      EXPECT_EQ(PrometheusValue(text, "liod_server_ops_total"), counters.ops_executed);
+      EXPECT_EQ(PrometheusValue(text, "liod_server_malformed_frames_total"),
+                counters.malformed_frames);
+      EXPECT_EQ(PrometheusValue(text, "liod_server_stats_requests_total"),
+                counters.stats_requests);
+    }
+
+    ASSERT_TRUE(server.Shutdown().ok());
+    ::unlink(path.c_str());
+  }
 }
 
 // --- shutdown drain (TSan target) -------------------------------------------

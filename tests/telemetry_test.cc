@@ -1,11 +1,13 @@
 // Telemetry subsystem (src/telemetry/): log-bucketed histogram geometry and
-// quantile bracketing, the thread-sharded MetricRegistry, the bounded
+// quantile bracketing, the striped MetricRegistry, the bounded
 // TraceRecorder ring with Chrome trace-event export, and the periodic CSV
 // sampler -- plus the end-to-end wiring contracts: telemetry enabled vs
 // disabled counts identical device I/O (one shard and two shards),
 // an instrumented engine run emits every span kind the observability story
 // promises, and the striped OpBreakdown records the same totals under
 // parallel lookups as under serial ones.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -15,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -247,6 +250,53 @@ TEST(TelemetryRegistryTest, ConcurrentRecordingLosesNothing) {
   double per_thread_sum = 0.0;
   for (std::size_t i = 0; i < kOpsPerThread; ++i) per_thread_sum += static_cast<double>(i % 7);
   EXPECT_DOUBLE_EQ(snap.histograms.at("h").sum_us, kThreads * per_thread_sum);
+}
+
+/// Resident set size of this process in MiB.
+double ResidentMiB() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return static_cast<double>(resident_pages) * static_cast<double>(::sysconf(_SC_PAGESIZE)) /
+         (1024.0 * 1024.0);
+}
+
+TEST(TelemetryRegistryTest, ThreadChurnKeepsTheFootprintFixed) {
+  // A server records from one reader thread per connection. Threads that
+  // come and go one after another must neither lose counts nor grow the
+  // registry: each records into one of a fixed set of stripes, not into
+  // state of its own that outlives it.
+  MetricRegistry registry;
+  const auto counter = registry.Counter("c");
+  const auto queue_us = registry.Histogram("queue_us");
+  const auto execute_us = registry.Histogram("execute_us");
+  const auto record = [&] {
+    registry.Add(counter);
+    registry.Observe(queue_us, 1.0);
+    registry.Observe(execute_us, 3.0);
+  };
+  // RSS growth over `threads` threads started and joined one at a time.
+  const auto churn_mib = [](std::size_t threads, const std::function<void()>& body) {
+    const double before_mib = ResidentMiB();
+    for (std::size_t i = 0; i < threads; ++i) std::thread(body).join();
+    return ResidentMiB() - before_mib;
+  };
+  constexpr std::size_t kWarmup = 100;  // thread stacks and allocator caches
+  churn_mib(kWarmup, record);
+  // Thread churn can cost memory by itself (sanitizer runtimes keep state
+  // per thread), so the bound applies to what recording adds to it.
+  constexpr std::size_t kThreads = 5000;
+  const double idle_mib = churn_mib(kThreads, [] {});
+  const double grown_mib = churn_mib(kThreads, record) - idle_mib;
+
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("c"), kWarmup + kThreads);
+  EXPECT_EQ(snap.histograms.at("queue_us").count, kWarmup + kThreads);
+  EXPECT_EQ(snap.histograms.at("execute_us").count, kWarmup + kThreads);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("execute_us").sum_us, 3.0 * (kWarmup + kThreads));
+  EXPECT_LT(grown_mib, 4.0) << "RSS grew by " << grown_mib << " MiB over " << kThreads
+                            << " recording threads";
 }
 
 TEST(TelemetryRegistryTest, GaugesRegisterReplaceAndUnregister) {

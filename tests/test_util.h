@@ -1,8 +1,13 @@
 #ifndef LIOD_TESTS_TEST_UTIL_H_
 #define LIOD_TESTS_TEST_UTIL_H_
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <mutex>
 #include <set>
@@ -136,6 +141,50 @@ class RacingThreads {
   std::vector<std::thread> threads_;
   std::mutex mu_;
   Status first_error_;
+};
+
+/// Lowers RLIMIT_NOFILE to just above the lowest free descriptor number and
+/// opens /dev/null until every number below the limit is taken, so the
+/// process's next new descriptor fails with EMFILE. The destructor closes the
+/// fillers and restores the limit, whatever path the test leaves by.
+class DescriptorExhaustion {
+ public:
+  DescriptorExhaustion() {
+    const int lowest = ::open("/dev/null", O_RDONLY);
+    if (lowest < 0) return;
+    ::close(lowest);
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(lowest) + 8;
+    if (lowered.rlim_cur > saved_.rlim_cur || ::setrlimit(RLIMIT_NOFILE, &lowered) != 0) return;
+    limited_ = true;
+    for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0; fd = ::open("/dev/null", O_RDONLY)) {
+      fillers_.push_back(fd);
+    }
+    exhausted_ = errno == EMFILE && !fillers_.empty();
+  }
+
+  ~DescriptorExhaustion() {
+    for (int fd : fillers_) ::close(fd);
+    if (limited_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  bool exhausted() const { return exhausted_; }
+
+  /// Frees exactly one descriptor number for the caller's next open.
+  void FreeOne() {
+    ::close(fillers_.back());
+    fillers_.pop_back();
+  }
+
+ private:
+  rlimit saved_{};
+  bool limited_ = false;
+  bool exhausted_ = false;
+  std::vector<int> fillers_;
 };
 
 }  // namespace testing_util

@@ -59,7 +59,7 @@
 // ShardedEngine with the same engine flags as run, then serves the binary KV
 // protocol (src/server/protocol.h) until SIGINT/SIGTERM:
 //
-//   liod_cli serve --listen unix:/tmp/liod.sock|tcp:PORT [--workers N]
+//   liod_cli serve --listen unix:/tmp/liod.sock|tcp:[HOST:]PORT [--workers N]
 //            [--queue N] [--wal-dir DIR] [--recover] [engine flags]
 //
 // --wal-dir gives the per-shard WAL/checkpoint files stable paths
@@ -101,6 +101,7 @@
 #include "recovery/recovery_manager.h"
 #include "server/kv_client.h"
 #include "server/kv_server.h"
+#include "server/net.h"
 #include "storage/block_device.h"
 #include "telemetry/exporter.h"
 #include "telemetry/metric_registry.h"
@@ -152,11 +153,11 @@ struct CliArgs {
   bool progress = false;            ///< --progress: stderr heartbeat
 
   // --- serve-only ----------------------------------------------------------
-  std::string listen;             ///< --listen unix:PATH | tcp:PORT
+  std::string listen;             ///< --listen unix:PATH | tcp:[HOST:]PORT
   std::size_t server_workers = 4; ///< --workers: multi-request frame executors
   std::size_t server_queue = 64;  ///< --queue: multi-request admission bound
   std::string wal_dir;            ///< --wal-dir: stable durable-file directory
-  std::string metrics_listen;     ///< --metrics-listen unix:PATH | tcp:PORT
+  std::string metrics_listen;     ///< --metrics-listen unix:PATH | tcp:[HOST:]PORT
   double slow_op_us = 0.0;        ///< --slow-op-us: capture threshold (0 = off)
   std::size_t slow_op_cap = 128;  ///< --slow-op-cap: slow-op ring capacity
 
@@ -168,7 +169,7 @@ struct CliArgs {
 void Usage() {
   std::printf(
       "liod_cli run --index NAME --dataset NAME --workload TYPE [options]\n"
-      "liod_cli serve --listen unix:PATH|tcp:PORT [--workers N] [--queue N]\n"
+      "liod_cli serve --listen unix:PATH|tcp:[HOST:]PORT [--workers N] [--queue N]\n"
       "               [--wal-dir DIR] [--recover] [engine options]\n"
       "liod_cli recover [run options]   (run with the crash-recovery demo)\n"
       "liod_cli stats --connect unix:PATH|tcp:[HOST:]PORT [--watch N]\n\n"
@@ -199,10 +200,10 @@ void Usage() {
       "           --trace-out FILE (Chrome trace-event JSON; load in Perfetto)\n"
       "           --sample-out FILE --sample-every-ms N (periodic metrics CSV)\n"
       "           --progress (stderr heartbeat; --csv stdout stays clean)\n"
-      "serve:     --listen unix:PATH|tcp:PORT --workers N --queue N\n"
+      "serve:     --listen unix:PATH|tcp:[HOST:]PORT --workers N --queue N\n"
       "           --wal-dir DIR (stable WAL/checkpoint files; enables restart\n"
       "             recovery) --recover (rebuild from --wal-dir before listening)\n"
-      "           --metrics-listen unix:PATH|tcp:PORT (live HTTP endpoint:\n"
+      "           --metrics-listen unix:PATH|tcp:[HOST:]PORT (live HTTP endpoint:\n"
       "             /metrics Prometheus text, /metrics.json, /stats.json)\n"
       "           --slow-op-us THRESH (capture ops over THRESH us queue+execute\n"
       "             in a bounded ring) --slow-op-cap N (ring size, default 128)\n"
@@ -524,7 +525,7 @@ int RunRecoveryDemo(const CliArgs& args, const IndexOptions& options, DurableSlo
 /// them (WAL forces then ride the same batched submission path as data
 /// blocks), the plain in-memory slot otherwise. Null on device failure.
 std::unique_ptr<DurableSlot> MakeCliDurableSlot(const IndexOptions& options) {
-  if (EffectiveDeviceKind(options) == DeviceKind::kModeled) {
+  if (options.device == DeviceKind::kModeled) {
     return std::make_unique<DurableSlot>(options.block_size);
   }
   std::unique_ptr<BlockDevice> wal_device, checkpoint_device;
@@ -641,7 +642,7 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
                   DurabilityPolicyName(options.durability),
                   static_cast<unsigned long long>(result.io.WritesFor(FileClass::kWal)),
                   result.LatencyPercentileUs(0.50, disk), result.LatencyPercentileUs(0.999, disk),
-                  DeviceKindName(EffectiveDeviceKind(options)), result.wall_us,
+                  DeviceKindName(options.device), result.wall_us,
                   result.WallPercentileUs(0.50), result.WallPercentileUs(0.999));
     }
   } else {
@@ -746,8 +747,7 @@ struct ScopedTempDeviceDir {
 };
 
 int MaybeMakeTempDeviceDir(IndexOptions* options, ScopedTempDeviceDir* dir) {
-  if (EffectiveDeviceKind(*options) == DeviceKind::kModeled ||
-      !EffectiveDevicePath(*options).empty()) {
+  if (options->device == DeviceKind::kModeled || !options->device_path.empty()) {
     return 0;
   }
   char tmpl[] = "/tmp/liod_device_XXXXXX";
@@ -817,6 +817,15 @@ int RunCommand(const CliArgs& args) {
   return RunOnEngine(args, options, keys, spec, &telemetry);
 }
 
+/// Parses an endpoint flag (--listen, --metrics-listen, --connect); prints
+/// why and returns false when `value` is not unix:PATH or tcp:[HOST:]PORT.
+bool ParseEndpointFlag(const char* flag, const std::string& value,
+                       server::Endpoint* out) {
+  const Status status = server::ParseEndpoint(value, out);
+  if (!status.ok()) std::fprintf(stderr, "%s: %s\n", flag, status.message().c_str());
+  return status.ok();
+}
+
 /// `serve`: bulkload (or `--recover` rebuild) a ShardedEngine with the same
 /// engine flags as run, then serve the binary KV protocol until
 /// SIGINT/SIGTERM, finishing with a graceful drain + checkpoint.
@@ -827,16 +836,20 @@ int ServeCommand(const CliArgs& args) {
     return rc;
   }
 
-  server::ServerOptions server_options;
-  if (args.listen.rfind("unix:", 0) == 0 && args.listen.size() > 5) {
-    server_options.unix_path = args.listen.substr(5);
-  } else if (args.listen.rfind("tcp:", 0) == 0 && args.listen.size() > 4) {
-    server_options.tcp_port = std::atoi(args.listen.c_str() + 4);
-  } else {
-    std::fprintf(stderr, "serve requires --listen unix:PATH or tcp:PORT\n");
+  server::Endpoint listen;
+  if (!ParseEndpointFlag("--listen", args.listen, &listen)) {
     Usage();
     return 2;
   }
+  server::Endpoint metrics_listen;
+  if (!args.metrics_listen.empty() &&
+      !ParseEndpointFlag("--metrics-listen", args.metrics_listen, &metrics_listen)) {
+    return 2;
+  }
+  server::ServerOptions server_options;
+  server_options.unix_path = listen.unix_path;
+  server_options.tcp_host = listen.host;
+  server_options.tcp_port = listen.port;
   if (!args.wal_dir.empty() && options.durability == DurabilityPolicy::kNone) {
     std::fprintf(stderr, "--wal-dir requires --durability != none\n");
     return 2;
@@ -965,22 +978,11 @@ int ServeCommand(const CliArgs& args) {
   // The live observability endpoint starts after the server so /stats.json
   // (which proxies KvServer::StatsJson) never races Start; it stops before
   // the drain completes so no scrape runs against a checkpointing engine.
-  MetricsExporter exporter([&] {
-    ExporterOptions exporter_options;
-    if (args.metrics_listen.rfind("unix:", 0) == 0 && args.metrics_listen.size() > 5) {
-      exporter_options.unix_path = args.metrics_listen.substr(5);
-    } else if (args.metrics_listen.rfind("tcp:", 0) == 0 && args.metrics_listen.size() > 4) {
-      exporter_options.tcp_port = std::atoi(args.metrics_listen.c_str() + 4);
-    }
-    exporter_options.registry = telemetry.metrics.get();
-    return exporter_options;
-  }());
+  MetricsExporter exporter(ExporterOptions{.unix_path = metrics_listen.unix_path,
+                                           .tcp_port = metrics_listen.port,
+                                           .tcp_host = metrics_listen.host,
+                                           .registry = telemetry.metrics.get()});
   if (!args.metrics_listen.empty()) {
-    if (args.metrics_listen.rfind("unix:", 0) != 0 &&
-        args.metrics_listen.rfind("tcp:", 0) != 0) {
-      std::fprintf(stderr, "--metrics-listen requires unix:PATH or tcp:PORT\n");
-      return 2;
-    }
     exporter.AddJsonHandler("/stats.json", [&server] { return server.StatsJson(); });
     if (const Status status = exporter.Start(); !status.ok()) {
       std::fprintf(stderr, "metrics endpoint failed: %s\n", status.ToString().c_str());
@@ -1041,26 +1043,15 @@ double FindJsonNumber(const std::string& json, const std::string& key, bool* fou
 /// One-shot prints the raw JSON (pipe into a JSON tool); --watch N re-polls
 /// every N seconds and prints one delta line per interval.
 int StatsCommand(const CliArgs& args) {
-  if (args.connect.empty()) {
-    std::fprintf(stderr, "stats requires --connect unix:PATH or tcp:[HOST:]PORT\n");
+  server::Endpoint endpoint;
+  if (!ParseEndpointFlag("--connect", args.connect, &endpoint)) {
     Usage();
     return 2;
   }
   server::KvClient client;
-  Status status;
-  if (args.connect.rfind("unix:", 0) == 0 && args.connect.size() > 5) {
-    status = client.ConnectUnix(args.connect.substr(5));
-  } else if (args.connect.rfind("tcp:", 0) == 0 && args.connect.size() > 4) {
-    const std::string rest = args.connect.substr(4);
-    const std::size_t colon = rest.rfind(':');
-    const std::string host = colon == std::string::npos ? "127.0.0.1" : rest.substr(0, colon);
-    const int port = std::atoi(colon == std::string::npos ? rest.c_str()
-                                                          : rest.c_str() + colon + 1);
-    status = client.ConnectTcp(host, port);
-  } else {
-    std::fprintf(stderr, "stats requires --connect unix:PATH or tcp:[HOST:]PORT\n");
-    return 2;
-  }
+  const Status status = endpoint.unix_path.empty()
+                            ? client.ConnectTcp(endpoint.host, endpoint.port)
+                            : client.ConnectUnix(endpoint.unix_path);
   if (!status.ok()) {
     std::fprintf(stderr, "connect failed: %s\n", status.ToString().c_str());
     return 1;
