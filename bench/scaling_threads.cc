@@ -8,12 +8,13 @@
 //   scaling_threads [--dataset fb] [--bulk N] [--ops N] [--seed N]
 //                   [--threads 1,2,4,8] [--shards 1,4]
 //                   [--indexes btree,alex,pgm] [--workloads ycsb-a,ycsb-c]
-//                   [--lock-modes exclusive,shared]
 //                   [--zipf 0.99] [--csv FILE]
 //
-// --csv writes machine-readable rows (bench_to_json.py schema: index,
-// workload, ops, tput_ops_s, reads_per_op, writes_per_op plus the sweep
-// identity columns) so CI can gate the lock-mode scaling trajectory.
+// Reads take each shard's latch shared and writes take it exclusive, so
+// threads may outnumber shards. --csv writes machine-readable rows
+// (bench_to_json.py schema: index, workload, ops, tput_ops_s, reads_per_op,
+// writes_per_op plus the sweep identity columns) so CI can gate the scaling
+// trajectory.
 
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +41,6 @@ struct ScalingArgs {
   std::vector<std::size_t> shards = {1, 4};
   std::vector<std::string> indexes = {"btree", "alex", "pgm"};
   std::vector<std::string> workloads = {"ycsb-a", "ycsb-c"};
-  std::vector<std::string> lock_modes = {"exclusive"};
   std::string csv_path;  // empty: human table only
 };
 
@@ -79,15 +79,13 @@ ScalingArgs ParseArgs(int argc, char** argv) {
       args.indexes = SplitList(next());
     } else if (a == "--workloads") {
       args.workloads = SplitList(next());
-    } else if (a == "--lock-modes") {
-      args.lock_modes = SplitList(next());
     } else if (a == "--csv") {
       args.csv_path = next();
     } else if (a == "--help" || a == "-h") {
       std::printf(
           "flags: --dataset NAME --bulk N --ops N --seed N --zipf THETA\n"
           "       --threads a,b,c --shards a,b --indexes a,b --workloads a,b\n"
-          "       --lock-modes exclusive,shared --csv FILE\n");
+          "       --csv FILE\n");
       std::exit(0);
     }
     // Unknown flags are ignored so shared sweep scripts can pass through
@@ -102,16 +100,6 @@ int main(int argc, char** argv) {
   const ScalingArgs args = ParseArgs(argc, argv);
   const DiskModel ssd = DiskModel::Ssd();
 
-  std::vector<ShardLockMode> lock_modes;
-  for (const std::string& name : args.lock_modes) {
-    ShardLockMode mode;
-    if (!ShardLockModeFromName(name, &mode)) {
-      std::fprintf(stderr, "unknown lock mode '%s'\n", name.c_str());
-      return 2;
-    }
-    lock_modes.push_back(mode);
-  }
-
   std::FILE* csv = nullptr;
   if (!args.csv_path.empty()) {
     csv = std::fopen(args.csv_path.c_str(), "w");
@@ -120,7 +108,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::fprintf(csv,
-                 "index,workload,dataset,threads,shards,lock_mode,ops,"
+                 "index,workload,dataset,threads,shards,ops,"
                  "tput_ops_s,speedup,reads_per_op,writes_per_op\n");
   }
 
@@ -160,52 +148,43 @@ int main(int argc, char** argv) {
 
     for (const std::string& index_name : args.indexes) {
       std::printf("== %s on %s ==\n", index_name.c_str(), workload_name.c_str());
-      std::printf("%8s %8s %11s %14s %14s %10s %10s\n", "threads", "shards", "lock_mode",
-                  "tput(ops/s)", "speedup", "rd/op", "wr/op");
-      // Speedup is relative to the sweep's first (threads, shards, mode)
-      // cell, so a single-mode run keeps its historical meaning.
+      std::printf("%8s %8s %14s %14s %10s %10s\n", "threads", "shards", "tput(ops/s)",
+                  "speedup", "rd/op", "wr/op");
+      // Speedup is relative to the sweep's first (threads, shards) cell.
       double baseline = 0.0;
-      for (ShardLockMode mode : lock_modes) {
-        for (std::size_t shards : args.shards) {
-          for (std::size_t ti = 0; ti < args.threads.size(); ++ti) {
-            const std::size_t threads = args.threads[ti];
-            EngineOptions engine_options;
-            engine_options.index_name = index_name;
-            engine_options.num_shards = shards;
-            engine_options.shard_lock_mode = mode;
-            engine_options.index = BenchOptions();
-            ShardedEngine engine(engine_options);
+      for (std::size_t shards : args.shards) {
+        for (std::size_t ti = 0; ti < args.threads.size(); ++ti) {
+          const std::size_t threads = args.threads[ti];
+          EngineOptions engine_options;
+          engine_options.index_name = index_name;
+          engine_options.num_shards = shards;
+          engine_options.index = BenchOptions();
+          ShardedEngine engine(engine_options);
 
-            const ConcurrentWorkload& w = tapes_by_thread[ti];
-            ConcurrentRunResult result;
-            const Status status =
-                RunConcurrentWorkload(&engine, w, ConcurrentRunnerConfig{}, &result);
-            if (!status.ok()) {
-              std::fprintf(stderr, "FATAL %s/%s t=%zu s=%zu %s: %s\n", index_name.c_str(),
-                           workload_name.c_str(), threads, shards, ShardLockModeName(mode),
-                           status.ToString().c_str());
-              return 1;
-            }
+          const ConcurrentWorkload& w = tapes_by_thread[ti];
+          ConcurrentRunResult result;
+          const Status status =
+              RunConcurrentWorkload(&engine, w, ConcurrentRunnerConfig{}, &result);
+          if (!status.ok()) {
+            std::fprintf(stderr, "FATAL %s/%s t=%zu s=%zu: %s\n", index_name.c_str(),
+                         workload_name.c_str(), threads, shards, status.ToString().c_str());
+            return 1;
+          }
 
-            const double tput = result.ThroughputOps(ssd);
-            if (baseline == 0.0) baseline = tput;
-            const double speedup = baseline > 0.0 ? tput / baseline : 0.0;
-            const double ops_den =
-                result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
-            const double reads_per_op =
-                static_cast<double>(result.io.TotalReads()) / ops_den;
-            const double writes_per_op =
-                static_cast<double>(result.io.TotalWrites()) / ops_den;
-            std::printf("%8zu %8zu %11s %14.1f %13.2fx %10.3f %10.3f\n", threads,
-                        engine.num_shards(), ShardLockModeName(mode), tput, speedup,
-                        reads_per_op, writes_per_op);
-            if (csv != nullptr) {
-              std::fprintf(csv, "%s,%s,%s,%zu,%zu,%s,%llu,%.1f,%.3f,%.3f,%.3f\n",
-                           index_name.c_str(), workload_name.c_str(), args.dataset.c_str(),
-                           threads, engine.num_shards(), ShardLockModeName(mode),
-                           static_cast<unsigned long long>(result.operations), tput,
-                           speedup, reads_per_op, writes_per_op);
-            }
+          const double tput = result.ThroughputOps(ssd);
+          if (baseline == 0.0) baseline = tput;
+          const double speedup = baseline > 0.0 ? tput / baseline : 0.0;
+          const double ops_den =
+              result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
+          const double reads_per_op = static_cast<double>(result.io.TotalReads()) / ops_den;
+          const double writes_per_op = static_cast<double>(result.io.TotalWrites()) / ops_den;
+          std::printf("%8zu %8zu %14.1f %13.2fx %10.3f %10.3f\n", threads, engine.num_shards(),
+                      tput, speedup, reads_per_op, writes_per_op);
+          if (csv != nullptr) {
+            std::fprintf(csv, "%s,%s,%s,%zu,%zu,%llu,%.1f,%.3f,%.3f,%.3f\n", index_name.c_str(),
+                         workload_name.c_str(), args.dataset.c_str(), threads,
+                         engine.num_shards(), static_cast<unsigned long long>(result.operations),
+                         tput, speedup, reads_per_op, writes_per_op);
           }
         }
       }
@@ -214,11 +193,10 @@ int main(int argc, char** argv) {
   }
   if (csv != nullptr) std::fclose(csv);
   std::printf(
-      "Expected shape: under the default exclusive locking, read-only YCSB-C\n"
-      "scales near-linearly with threads once shards >= threads; YCSB-A\n"
-      "flattens earlier because Zipfian-hot shards serialize writers on the\n"
-      "shard latch. --lock-modes shared lets YCSB-C scale with\n"
-      "threads even when shards < threads (readers overlap on one shard);\n"
-      "YCSB-A still flattens on its writer half.\n");
+      "Expected shape (modeled): read-only YCSB-C scales with threads even when\n"
+      "threads outnumber shards, because reads share the shard latch and the\n"
+      "model overlaps their I/O; YCSB-A flattens earlier because Zipfian-hot\n"
+      "shards serialize writers on the latch. Measured wall-clock scaling is\n"
+      "not modeled here.\n");
   return 0;
 }

@@ -10,14 +10,18 @@ whatever configuration axes both documents carry: dataset, disk, threads,
 shards, durability, buffer_blocks, checkpoint_every, merge mode/threshold).
 For every baseline row the candidate must contain the same key, and:
 
-  - counted writes (``writes_per_op``) must not grow by more than the
-    threshold (plus a small absolute epsilon, so near-zero baselines do not
-    trip on rounding),
+  - on a row that ran one thread with no server (``threads`` absent or 1, no
+    ``clients`` column), counted reads and writes (``reads_per_op``,
+    ``writes_per_op``) must equal the baseline exactly,
+  - on any other row they must not grow by more than the threshold (plus a
+    small absolute epsilon, so near-zero baselines do not trip on rounding),
   - modeled throughput (``tput_ops_s``) must not drop by more than the
     threshold.
 
-Counted reads/writes are deterministic in this repo (simulated devices, fixed
-seeds); modeled throughput folds in measured CPU, which the disk model's I/O
+One thread on a simulated device with fixed seeds counts the same blocks on
+every run, to the printed digit. Several threads interleave their buffer
+traffic differently from run to run, which moves the counts slightly.
+Modeled throughput folds in measured CPU, which the disk model's I/O
 latency dominates -- the default 15% margin absorbs runner-to-runner CPU
 variance without masking a real regression. A baseline key missing from the
 candidate fails too (silent coverage loss is a regression); candidate-only
@@ -27,8 +31,8 @@ this script.
 The measured wall-clock columns (``wall_us``, ``wall_p50_us``,
 ``wall_p999_us``) and the ``device`` tag are deliberately NOT gated: on a
 real device they reflect the CI runner's disk and page cache, which vary
-run to run far beyond any useful threshold. Only the deterministic counted
-I/O and the modeled throughput participate in the regression gate.
+run to run far beyond any useful threshold. Only the counted I/O and the
+modeled throughput participate in the regression gate.
 
 Exit status: 0 clean, 1 on any regression or malformed input. Regenerate the
 baseline by running the perf-smoke commands from .github/workflows/ci.yml and
@@ -40,9 +44,10 @@ import json
 import sys
 
 KEY_COLUMNS = ("label", "index", "workload", "dataset", "disk", "device", "threads",
-               "shards", "lock_mode", "durability", "buffer_blocks", "checkpoint_every",
+               "shards", "durability", "buffer_blocks", "checkpoint_every",
                "merge_mode", "merge_threshold", "clients", "batch")
-WRITES_EPSILON = 0.05  # writes/op; absolute slack for near-zero baselines
+COUNTED_COLUMNS = ("reads_per_op", "writes_per_op")
+COUNTED_EPSILON = 0.05  # blocks/op; absolute slack for near-zero baselines
 
 
 def fail(message: str) -> None:
@@ -64,11 +69,16 @@ def load_rows(path: str) -> dict:
         key = tuple((c, str(row[c])) for c in KEY_COLUMNS if c in row)
         if key in keyed:
             fail(f"{path}: duplicate row key {dict(key)}")
-        for metric in ("writes_per_op", "tput_ops_s"):
+        for metric in COUNTED_COLUMNS + ("tput_ops_s",):
             if not isinstance(row.get(metric), (int, float)):
                 fail(f"{path}: row {dict(key)} lacks numeric {metric}")
         keyed[key] = row
     return keyed
+
+
+def counts_exactly(row: dict) -> bool:
+    """True for a row that ran one thread with no server."""
+    return str(row.get("threads", "1")) == "1" and "clients" not in row
 
 
 def main() -> None:
@@ -83,7 +93,7 @@ def main() -> None:
     candidate = load_rows(args.candidate)
 
     failures = []
-    compared = 0
+    compared = exact_rows = 0
     for key, base in baseline.items():
         new = candidate.get(key)
         name = ", ".join(f"{c}={v}" for c, v in key)
@@ -91,12 +101,20 @@ def main() -> None:
             failures.append(f"missing from candidate: {name}")
             continue
         compared += 1
-        writes_limit = base["writes_per_op"] * (1 + args.threshold) + WRITES_EPSILON
-        if new["writes_per_op"] > writes_limit:
-            failures.append(
-                f"counted writes regressed: {name}: {new['writes_per_op']:.3f} "
-                f"writes/op vs baseline {base['writes_per_op']:.3f} "
-                f"(limit {writes_limit:.3f})")
+        exact = counts_exactly(base)
+        exact_rows += exact
+        for metric in COUNTED_COLUMNS:
+            if exact:
+                if new[metric] != base[metric]:
+                    failures.append(
+                        f"counted I/O changed on a one-thread row: {name}: {metric} "
+                        f"{new[metric]} vs baseline {base[metric]} (must be equal)")
+                continue
+            limit = base[metric] * (1 + args.threshold) + COUNTED_EPSILON
+            if new[metric] > limit:
+                failures.append(
+                    f"counted I/O regressed: {name}: {metric} {new[metric]:.3f} "
+                    f"vs baseline {base[metric]:.3f} (limit {limit:.3f})")
         tput_floor = base["tput_ops_s"] * (1 - args.threshold)
         if new["tput_ops_s"] < tput_floor:
             failures.append(
@@ -112,8 +130,8 @@ def main() -> None:
         for failure in failures:
             print(f"compare_bench: FAIL: {failure}", file=sys.stderr)
         sys.exit(1)
-    print(f"compare_bench: OK: {compared} row(s) within {args.threshold:.0%} of baseline"
-          f" ({len(extra)} candidate-only row(s))")
+    print(f"compare_bench: OK: {compared} row(s) within {args.threshold:.0%} of baseline,"
+          f" {exact_rows} with identical counted I/O ({len(extra)} candidate-only row(s))")
 
 
 if __name__ == "__main__":

@@ -107,35 +107,14 @@ inline bool MergeModeFromName(const std::string& name, MergeMode* out) {
   return true;
 }
 
-/// Intra-shard concurrency control of the ShardedEngine's read path
-/// (engine/sharded_engine.h). Writers (Insert/Delete/RMW, merges, flushes,
-/// checkpoints) always hold the shard exclusively; the mode decides how
-/// read-only operations (Lookup/Scan) coordinate with them.
+/// The ShardedEngine's shard latch discipline, kept only because the
+/// repository benchmark (perfbench/) still assigns
+/// EngineOptions::shard_lock_mode. The engine has one rule (reads shared,
+/// writes exclusive) and never reads the value. ROADMAP item 3 deletes this
+/// enum and the field together with that assignment.
 enum class ShardLockMode {
-  kExclusive,  ///< every op takes the shard exclusively (the historical
-               ///< mutex behavior; default, bit-exact I/O)
-  kShared,     ///< readers take shared ownership of a reader/writer latch
+  kShared,  ///< readers share the shard latch; writers hold it exclusively
 };
-
-inline const char* ShardLockModeName(ShardLockMode mode) {
-  switch (mode) {
-    case ShardLockMode::kExclusive: return "exclusive";
-    case ShardLockMode::kShared: return "shared";
-  }
-  return "unknown";
-}
-
-/// Parses "exclusive" / "shared". Returns false on an unknown name.
-inline bool ShardLockModeFromName(const std::string& name, ShardLockMode* out) {
-  if (name == "exclusive") {
-    *out = ShardLockMode::kExclusive;
-  } else if (name == "shared") {
-    *out = ShardLockMode::kShared;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 /// Durability of the buffered write path (src/recovery/). Decides when a
 /// staged Insert/Delete's write-ahead-log record reaches the device relative
@@ -191,7 +170,8 @@ struct IndexOptions {
   /// Disk block size. Unit: bytes; default 4096; consumed by every index
   /// family (it is the allocation and I/O granularity of all paged files).
   /// The paper fixes 4 KB except in the block-size study (Section 6.4),
-  /// which sweeps 1 KB - 16 KB. Must be a power of two and >= 512.
+  /// which sweeps 1 KB - 16 KB. Must be a power of two and >= 512
+  /// (IsValidBlockSize); ShardedEngine rejects any other value.
   std::size_t block_size = 4096;
 
   /// Buffer budget, per file. Unit: blocks (frames); default 1; consumed by
@@ -203,12 +183,12 @@ struct IndexOptions {
   /// kInvalidArgument on first buffer access.
   std::size_t buffer_pool_blocks = 1;
 
-  /// Shared buffer budget across ALL files of the index (and, when
-  /// EngineOptions::share_buffers_across_shards is set, all shards). Unit:
-  /// blocks (frames); default 0 = disabled, i.e. the paper's per-file budgets
-  /// above. When > 0, every counted file draws frames from one pool of this
-  /// size -- the real-DBMS buffer-pool configuration the paper stops short
-  /// of. Consumed by DiskIndex::MakeFile via BufferManager.
+  /// Shared buffer budget across ALL files of the index (under a
+  /// ShardedEngine, across every shard's files). Unit: blocks (frames);
+  /// default 0 = disabled, i.e. the paper's per-file budgets above. When
+  /// > 0, every counted file draws frames from one pool of this size -- the
+  /// real-DBMS buffer-pool configuration the paper stops short of. Consumed
+  /// by DiskIndex::MakeFile via BufferManager.
   std::size_t shared_buffer_budget_blocks = 0;
 
   /// Eviction policy of every buffer pool (per-file and shared). Default
@@ -418,6 +398,11 @@ struct IndexOptions {
   /// btree_fill_factor); consumed by all four hybrid-* indexes.
   double hybrid_leaf_fill = 0.8;
 };
+
+/// IndexOptions::block_size's contract: a power of two of at least 512 bytes.
+inline bool IsValidBlockSize(std::size_t block_size) {
+  return block_size >= 512 && (block_size & (block_size - 1)) == 0;
+}
 
 }  // namespace liod
 

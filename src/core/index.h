@@ -34,9 +34,13 @@ struct IndexStats {
 /// baseline, the four learned indexes (Sections 2 and 4 of the paper), and
 /// the hybrid designs (Section 6.1.2).
 ///
-/// Concurrency: instances are single-threaded, matching the paper's setup.
-/// Multi-threaded service is layered on top by engine/sharded_engine.h, which
-/// key-range-partitions a dataset across many single-threaded instances.
+/// Concurrency: read-only calls (Lookup, Scan, GetIndexStats, the stat and
+/// breakdown readers) may overlap each other on one instance. Bulkload,
+/// Insert, Delete, DropCaches and the flushes (FlushUpdates, FlushBuffers)
+/// need exclusive access: no other call may run on the instance meanwhile. The paper runs each index on
+/// one thread; engine/sharded_engine.h serves many threads by key-range
+/// partitioning a dataset across instances and enforces this contract with
+/// one reader/writer latch per shard.
 /// Duplicate policy: Insert of an existing key updates its payload.
 class DiskIndex {
  public:

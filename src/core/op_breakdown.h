@@ -31,10 +31,10 @@ const char* OpPhaseName(OpPhase phase);
 /// (common/striped.h), each thread mapped to one stripe, and totals()
 /// merges the stripes on read (the same merge-on-read shape as
 /// IoStats::ThreadTally). Every index op -- including
-/// read-only lookups -- charges a PhaseScope here, and under the engine's
-/// shared lock mode those lookups run in parallel on one index
-/// instance; a single global mutex made Record a serialization point
-/// exactly where the engine is supposed to scale.
+/// read-only lookups -- charges a PhaseScope here, and the engine runs
+/// lookups in parallel on one index instance under a shared shard latch; a
+/// single global mutex made Record a serialization point exactly where the
+/// engine is supposed to scale.
 class OpBreakdown {
  public:
   struct PhaseTotals {

@@ -21,8 +21,7 @@ Status RunTape(ShardedEngine* engine, const std::vector<WorkloadOp>& ops,
                std::size_t scan_length, const ConcurrentRunnerConfig& config,
                ThreadRunResult* out) {
   if (config.record_samples) out->samples.reserve(ops.size());
-  // Per-shard shared-latch I/O of THIS thread (stays all-zero under the
-  // exclusive mode, where the engine never runs anything shared).
+  // Per-shard shared-latch I/O of THIS thread.
   out->shared_io.assign(engine->num_shards(), IoStatsSnapshot{});
   // One reused single-request batch per tape: every op dispatches through
   // ShardedEngine::Execute -- batch size 1 is the historical per-op path, so
@@ -82,26 +81,18 @@ double ConcurrentRunResult::MakespanUs(const DiskModel& model) const {
   double makespan = 0.0;
   for (const ThreadRunResult& t : threads) makespan = std::max(makespan, t.MakespanUs(model));
   for (std::size_t s = 0; s < shard_io.size(); ++s) {
-    double shard_bound = 0.0;
-    if (lock_mode == ShardLockMode::kExclusive) {
-      // The latch serializes everything: the shard drains its whole I/O
-      // volume back to back.
-      shard_bound = model.IoMicros(shard_io[s]);
-    } else {
-      // Shared-latch reads overlap: across threads they finish no later
-      // than the slowest single thread's shared I/O on this shard. Whatever
-      // is not tallied as shared ran exclusively (writes, merges, flushes)
-      // and still serializes.
-      IoStatsSnapshot shared_total;
-      double slowest_reader_us = 0.0;
-      for (const ThreadRunResult& t : threads) {
-        if (s >= t.shared_io.size()) continue;
-        shared_total += t.shared_io[s];
-        slowest_reader_us = std::max(slowest_reader_us, model.IoMicros(t.shared_io[s]));
-      }
-      shard_bound = model.IoMicros(shard_io[s] - shared_total) + slowest_reader_us;
+    // Shared-latch reads overlap: across threads they finish no later than
+    // the slowest single thread's shared I/O on this shard. Whatever is not
+    // tallied as shared ran exclusively (writes, merges, flushes) and
+    // serializes.
+    IoStatsSnapshot shared_total;
+    double slowest_reader_us = 0.0;
+    for (const ThreadRunResult& t : threads) {
+      if (s >= t.shared_io.size()) continue;
+      shared_total += t.shared_io[s];
+      slowest_reader_us = std::max(slowest_reader_us, model.IoMicros(t.shared_io[s]));
     }
-    makespan = std::max(makespan, shard_bound);
+    makespan = std::max(makespan, model.IoMicros(shard_io[s] - shared_total) + slowest_reader_us);
   }
   return makespan;
 }
@@ -150,7 +141,6 @@ Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& wo
                              const ConcurrentRunnerConfig& config,
                              ConcurrentRunResult* result) {
   *result = ConcurrentRunResult{};
-  result->lock_mode = engine->options().shard_lock_mode;
 
   // --- bulkload phase -------------------------------------------------------
   const auto bulk_start = std::chrono::steady_clock::now();

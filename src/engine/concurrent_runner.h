@@ -32,9 +32,8 @@ struct ThreadRunResult {
   double cpu_us = 0.0;  ///< wall-clock of the tape loop (includes lock waits)
   IoStatsSnapshot io;   ///< exact block I/O attributed to this thread's ops
   /// Per shard, the subset of `io` this thread performed under a SHARED
-  /// latch (empty under the exclusive lock mode). Shared-mode reads on one
-  /// shard overlap each other, so the makespan model must not serialize
-  /// them behind one shard-wide queue.
+  /// latch (its reads). Reads on one shard overlap each other, so the
+  /// makespan model must not serialize them behind one shard-wide queue.
   std::vector<IoStatsSnapshot> shared_io;
   std::vector<OpSample> samples;  ///< per-op, when requested
 
@@ -53,24 +52,18 @@ struct ConcurrentRunResult {
   IndexStats stats_after;  ///< merged shard stats at the end
   std::vector<ThreadRunResult> threads;
   std::vector<IoStatsSnapshot> shard_io;  ///< op-phase I/O per shard
-  /// Lock mode the engine ran under (drives the per-shard makespan bound).
-  ShardLockMode lock_mode = ShardLockMode::kExclusive;
 
   /// Modeled makespan of the run. Threads execute in parallel, so the run
   /// cannot finish before the slowest thread -- and each shard bounds the
-  /// run from below too, by a lock-mode-dependent amount:
-  ///
-  ///  - exclusive: the shard's latch serializes EVERY op on it, so the shard
-  ///    bound is all of its I/O drained back to back. This is what makes
-  ///    1-shard/N-thread configurations (correctly) not scale their modeled
-  ///    I/O.
-  ///  - shared: only exclusive ops (inserts, RMWs, merges, end-of-
-  ///    window flushes) serialize on the shard. Shared-latch reads overlap
-  ///    each other, so across threads they complete no later than the
-  ///    slowest single thread's shared I/O on that shard: the bound is
-  ///    IoMicros(exclusive I/O) + max over threads of IoMicros(that thread's
-  ///    shared I/O on the shard). Exclusive I/O is what remains of the
-  ///    shard's total after subtracting every thread's tallied shared I/O.
+  /// run from below too. Only exclusive-latch ops (inserts, RMWs, merges,
+  /// end-of-window flushes) serialize on a shard; shared-latch reads overlap
+  /// each other, so across threads they complete no later than the slowest
+  /// single thread's shared I/O on that shard. The shard bound is
+  /// IoMicros(exclusive I/O) + max over threads of IoMicros(that thread's
+  /// shared I/O on the shard), where exclusive I/O is what remains of the
+  /// shard's total after subtracting every thread's tallied shared I/O. At
+  /// one thread the bound equals the shard's whole I/O drained serially
+  /// (IoMicros is linear).
   double MakespanUs(const DiskModel& model) const;
   /// Modeled throughput in operations/second: operations / makespan.
   double ThroughputOps(const DiskModel& model) const;

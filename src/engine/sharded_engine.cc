@@ -66,6 +66,10 @@ std::size_t ShardedEngine::ShardFor(Key key) const {
 
 Status ShardedEngine::PlanShards(std::span<const Record> records, std::vector<std::size_t>* cuts,
                                  IndexOptions* shard_options) {
+  if (!IsValidBlockSize(options_.index.block_size)) {
+    return Status::InvalidArgument("block size must be a power of two >= 512 (got " +
+                                   std::to_string(options_.index.block_size) + ")");
+  }
   // Validate sortedness up front: each shard only validates its own slice,
   // which would miss a violation straddling a cut point -- and unsorted input
   // would silently break key routing.
@@ -80,7 +84,7 @@ Status ShardedEngine::PlanShards(std::span<const Record> records, std::vector<st
       1, std::min(options_.num_shards, std::max<std::size_t>(records.size(), 1)));
 
   *shard_options = options_.index;
-  if (options_.share_buffers_across_shards && shard_options->shared_buffer_budget_blocks > 0 &&
+  if (shard_options->shared_buffer_budget_blocks > 0 &&
       shard_options->shared_buffer_manager == nullptr) {
     // One budget spanning all shards: the engine owns the manager and injects
     // it into every shard's index.
@@ -277,10 +281,9 @@ template <typename Op>
 Status ShardedEngine::RunOnShard(std::size_t s, bool write, IoStatsSnapshot* io,
                                  std::vector<IoStatsSnapshot>* shared_io, const Op& op) {
   Shard& shard = *shards_[s];
-  const bool exclusive = write || options_.shard_lock_mode == ShardLockMode::kExclusive;
   std::unique_lock<std::shared_mutex> exclusive_lock(shard.mu, std::defer_lock);
   std::shared_lock<std::shared_mutex> shared_lock(shard.mu, std::defer_lock);
-  if (exclusive) {
+  if (write) {
     exclusive_lock.lock();
   } else if (!shared_lock.try_lock()) {
     // A writer (or latch contention) is in the way: count the blocking
@@ -290,9 +293,9 @@ Status ShardedEngine::RunOnShard(std::size_t s, bool write, IoStatsSnapshot* io,
   }
   // Only shared-latch reads feed `shared_io`: they are the I/O that did not
   // serialize against other readers.
-  std::vector<IoStatsSnapshot>* const shared_sink = exclusive ? nullptr : shared_io;
+  std::vector<IoStatsSnapshot>* const shared_sink = write ? nullptr : shared_io;
   if (io == nullptr && shared_sink == nullptr) return op(shard.index.get());
-  // Thread-exact attribution under either latch: the tally routes each
+  // Thread-exact attribution under both latches: the tally routes each
   // counter bump to the thread (and therefore the op) that performed it, so
   // parallel readers on this shard never see each other's I/O.
   IoStatsSnapshot delta;
@@ -417,12 +420,11 @@ Status ShardedEngine::Execute(kv::RequestBatch& batch, IoStatsSnapshot* io,
   return Dispatch(batch.requests, batch.responses, io, shared_io);
 }
 
-Status ShardedEngine::Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io,
-                             std::vector<IoStatsSnapshot>* shared_io) {
+Status ShardedEngine::Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   const kv::Request req{kv::OpKind::kLookup, key, 0, 0};
   kv::Response resp;
-  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, shared_io);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
   if (payload != nullptr && resp.found) *payload = resp.payload;
   if (found != nullptr) *found = resp.found;
   return status;
@@ -453,7 +455,7 @@ Status ShardedEngine::ReadModifyWrite(Key key, Payload payload, bool* found,
 }
 
 Status ShardedEngine::Scan(Key start_key, std::size_t count, std::vector<Record>* out,
-                           IoStatsSnapshot* io, std::vector<IoStatsSnapshot>* shared_io) {
+                           IoStatsSnapshot* io) {
   LIOD_RETURN_IF_ERROR(CheckReady());
   if (count == 0) {
     // Historical contract: a zero-length engine scan clears `out` and
@@ -467,7 +469,7 @@ Status ShardedEngine::Scan(Key start_key, std::size_t count, std::vector<Record>
   // The response borrows the caller's vector, so its capacity is reused.
   kv::Response resp;
   resp.records.swap(*out);
-  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, shared_io);
+  const Status status = Dispatch({&req, 1}, {&resp, 1}, io, nullptr);
   out->swap(resp.records);
   return status;
 }
@@ -497,10 +499,8 @@ Status ShardedEngine::FlushUpdates() {
   return Status::Ok();
 }
 
-// The stat readers take each shard's latch shared in every mode: counters
-// are atomic and GetIndexStats is read-only, so they only need to exclude
-// writers, never each other (under the exclusive mode writers hold the
-// latch exclusively anyway, so the observable interleavings are unchanged).
+// The stat readers take each shard's latch shared: counters are atomic and
+// GetIndexStats is read-only, so they only need to exclude writers.
 
 IoStatsSnapshot ShardedEngine::MergedIo() const {
   IoStatsSnapshot merged;

@@ -25,22 +25,15 @@ namespace liod {
 struct EngineOptions {
   std::string index_name = "btree";  ///< factory name of the per-shard index
   std::size_t num_shards = 1;        ///< requested shards (clamped to key count)
-  IndexOptions index;                ///< options applied to every shard
-  /// When true and index.shared_buffer_budget_blocks > 0, the engine owns one
+  /// Options applied to every shard. With index.shared_buffer_budget_blocks
+  /// > 0 (and no index.shared_buffer_manager injected), the engine owns one
   /// BufferManager whose budget spans every shard's files (the real-DBMS
-  /// global buffer pool). Frame traffic is serialized by the manager latch;
-  /// counters stay attributed to the owning shard. Default false: each shard
-  /// buffers independently, preserving per-shard I/O isolation.
-  bool share_buffers_across_shards = false;
+  /// global buffer pool); counters stay attributed to the owning shard.
+  IndexOptions index;
 
-  /// Intra-shard concurrency of the read path (common/options.h). Writers
-  /// always hold the shard exclusively. kExclusive (default) keeps the
-  /// historical one-mutex-per-shard behavior. kShared lets any number of
-  /// Lookup/Scan run in parallel on one shard under a reader/writer latch.
-  /// Both modes perform identical counted I/O for the same op sequence and
-  /// attribute it per op the same way (IoStats::ThreadTally); only timing
-  /// (and the modeled makespan) differs.
-  ShardLockMode shard_lock_mode = ShardLockMode::kExclusive;
+  /// Never read by the engine (see ShardLockMode): reads always take the
+  /// shard latch shared. ROADMAP item 3 deletes this field with the enum.
+  ShardLockMode shard_lock_mode = ShardLockMode::kShared;
 
   /// Durable storage for the shards' WAL/checkpoint files when
   /// index.durability != kNone: shard i logs to slot i (per-shard WALs).
@@ -61,14 +54,13 @@ struct EngineOptions {
 
 /// Key-range-sharded concurrent execution engine.
 ///
-/// Every DiskIndex in the library is single-threaded per instance for
-/// writes, matching the paper's evaluation (core/index.h); read-only
-/// operations are safe in parallel on one instance (buffer-pool traffic is
-/// latched by the manager, counters are atomic). The engine scales them to M
-/// client threads by partitioning the key space across N shards --
-/// boundaries chosen from the sorted bulkload set so shards start equally
-/// loaded -- running one index per shard, and coordinating access per shard
-/// with a reader/writer latch driven by EngineOptions::shard_lock_mode.
+/// Every DiskIndex in the library lets read-only calls overlap on one
+/// instance but needs writes to run alone (core/index.h). The engine scales
+/// indexes to M client threads by partitioning the key space across N shards
+/// -- boundaries chosen from the sorted bulkload set so shards start equally
+/// loaded -- running one index per shard, and enforcing that contract with
+/// one reader/writer latch per shard: Lookup and Scan take it shared, every
+/// op that writes (and the flushes) takes it exclusive.
 /// Lookups, inserts, and read-modify-writes touch exactly one shard; scans
 /// stitch results across shard boundaries in key order (shards are visited
 /// in increasing order, so concurrent scans cannot deadlock).
@@ -128,12 +120,11 @@ class ShardedEngine {
   /// latch order), and takes each shard's latch ONCE per batch: exclusively
   /// when the shard's group contains any write (whose WAL appends ride the
   /// shared GroupCommitWindow, so a batch of writes group-commits together),
-  /// under the configured read mode otherwise. Within a shard, requests
-  /// execute in batch order; across shards, shard order wins (documented
-  /// relaxation -- single-request batches are unaffected, and the runner
-  /// drives batch size 1, which keeps its op interleaving and counted I/O
-  /// bit-exact with the historical per-op calls). A one-request batch
-  /// allocates no scratch.
+  /// shared otherwise. Within a shard, requests execute in batch order;
+  /// across shards, shard order wins (documented relaxation -- single-request
+  /// batches are unaffected, and the runner drives batch size 1, which keeps
+  /// its op interleaving and counted I/O bit-exact with the historical per-op
+  /// calls). A one-request batch needs no heap allocation.
   ///
   /// Scans that exhaust their home shard continue across subsequent shards
   /// after the partitioned pass, one latch at a time (the same relaxed
@@ -143,8 +134,13 @@ class ShardedEngine {
   /// kNotFound, never a batch failure). Like kv::ExecuteOnIndex, every
   /// request is attempted; the returned Status is Ok unless some op hit a
   /// hard failure, in which case the first such failure is returned after
-  /// the batch completes. `io`/`shared_io` accumulate the batch's exact
-  /// counted I/O as documented on Lookup.
+  /// the batch completes. When `io` is non-null, the exact block I/O the
+  /// batch performed on this thread is accumulated into it (per-thread I/O
+  /// attribution for the runner, exact even beside parallel readers). When
+  /// `shared_io` is non-null, the I/O of the batch's shared-latch reads is
+  /// also accumulated into (*shared_io)[owning shard] (resized to
+  /// num_shards() as needed): the runner's makespan model needs to know
+  /// which I/O did not serialize against other readers.
   ///
   /// Telemetry is recorded once per call: a one-request batch is an op
   /// (`engine.<kind>_us` histogram, `<kind>` span tagged with the owning
@@ -157,15 +153,8 @@ class ShardedEngine {
   // batch through Execute's dispatch -- kept because "look up one key"
   // deserves a signature, not because they are a second path.
 
-  /// Point lookup on the owning shard. When `io` is non-null, the exact
-  /// block I/O this call performed is accumulated into it (per-thread I/O
-  /// attribution for the runner), tallied on the calling thread under either
-  /// latch. When `shared_io` is non-null and the op ran under a SHARED
-  /// latch, the same delta is also accumulated into (*shared_io)[owning
-  /// shard] (resized to num_shards() as needed) -- the makespan model needs
-  /// to know which I/O did not serialize against other readers.
-  Status Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io = nullptr,
-                std::vector<IoStatsSnapshot>* shared_io = nullptr);
+  /// Point lookup on the owning shard (shared latch). `io` as on Execute.
+  Status Lookup(Key key, Payload* payload, bool* found, IoStatsSnapshot* io = nullptr);
 
   /// Upsert on the owning shard (always exclusive).
   Status Insert(Key key, Payload payload, IoStatsSnapshot* io = nullptr);
@@ -185,8 +174,7 @@ class ShardedEngine {
   /// above UINT32_MAX (the request's scan_count) saturates there. See the
   /// class comment for the (relaxed) cross-shard consistency guarantee.
   Status Scan(Key start_key, std::size_t count, std::vector<Record>* out,
-              IoStatsSnapshot* io = nullptr,
-              std::vector<IoStatsSnapshot>* shared_io = nullptr);
+              IoStatsSnapshot* io = nullptr);
 
   /// Empties every shard's buffer frames, flushing dirty ones first
   /// (benchmarks start cold). Not thread-safe. Returns the first flush
@@ -235,8 +223,8 @@ class ShardedEngine {
  private:
   struct Shard {
     std::unique_ptr<DiskIndex> index;
-    /// Reader/writer latch: writers and the exclusive mode take it
-    /// exclusively, shared-mode reads take it shared.
+    /// Reader/writer latch: reads take it shared, writes and flushes
+    /// exclusive.
     mutable std::shared_mutex mu;
   };
 
@@ -244,7 +232,8 @@ class ShardedEngine {
   /// sorted, fixes the shard count and the cut points (shard i owns
   /// records[(*cuts)[i], (*cuts)[i+1]) and lower_bounds_), and returns the
   /// per-shard options template in `shard_options`, wired to the cross-shard
-  /// buffer manager and group-commit window when configured.
+  /// buffer manager and group-commit window when configured. Rejects a
+  /// block size outside IndexOptions::block_size's contract.
   Status PlanShards(std::span<const Record> records, std::vector<std::size_t>* cuts,
                     IndexOptions* shard_options);
   /// Undoes a failed Bulkload/RecoverFrom, so it never leaves a half-built
@@ -256,13 +245,13 @@ class ShardedEngine {
   Status Dispatch(std::span<const kv::Request> reqs, std::span<kv::Response> resps,
                   IoStatsSnapshot* io, std::vector<IoStatsSnapshot>* shared_io);
   /// Runs `op` (invocable with DiskIndex*) on shard `s` under its latch --
-  /// exclusively when `write` or in the exclusive mode, shared otherwise --
-  /// attributing its I/O to `io`/`shared_io` as documented on Lookup.
+  /// exclusively when `write`, shared otherwise -- attributing its I/O to
+  /// `io`/`shared_io` as documented on Execute.
   /// Defined in the .cc; all instantiations live there.
   template <typename Op>
   Status RunOnShard(std::size_t s, bool write, IoStatsSnapshot* io,
                     std::vector<IoStatsSnapshot>* shared_io, const Op& op);
-  /// Contended path of the shared read mode: counts the wait (IoStats +
+  /// Contended path of a shared acquisition: counts the wait (IoStats +
   /// telemetry lock-wait counter/histogram/span) around the blocking shared
   /// acquisition. The caller adopts the latch.
   void BlockingSharedAcquire(std::size_t s, Shard& shard);
@@ -290,7 +279,7 @@ class ShardedEngine {
   };
 
   EngineOptions options_;
-  /// Cross-shard shared buffer manager (share_buffers_across_shards mode).
+  /// Cross-shard buffer manager (index.shared_buffer_budget_blocks > 0).
   /// Declared before shards_ so shards (whose files unregister on
   /// destruction) are destroyed first.
   std::unique_ptr<BufferManager> shared_buffers_;

@@ -36,11 +36,11 @@ struct IoStatsSnapshot {
   /// Logical node visits, incremented by index code (not by the pool):
   std::uint64_t inner_nodes_visited = 0;
   std::uint64_t leaf_nodes_visited = 0;
-  /// Shard-lock contention, bumped by the engine's read path only in the
-  /// shared lock mode (always 0 under the default exclusive mode, so
-  /// exclusive-mode snapshot pins stay bit-exact). Timing-dependent: two
-  /// runs of the same tape may count differently. Not device I/O -- the
-  /// disk model ignores it.
+  /// Shard-latch contention: bumped by the engine when a read finds its
+  /// shard latch held by a writer and blocks (always 0 at one thread).
+  /// Timing-dependent: two runs of the same tape may count differently, so
+  /// it is never tallied per thread (ThreadTally) and counted-I/O pins
+  /// compare the other fields. Not device I/O -- the disk model ignores it.
   std::uint64_t read_lock_waits = 0;  ///< blocking shared acquisitions after contention
 
   std::uint64_t TotalReads() const;
@@ -96,9 +96,9 @@ class IoStats {
   /// `*sink` (a plain snapshot, touched only by this thread).
   ///
   /// Why it exists: it is the engine's per-op I/O attribution under both
-  /// shard latches. A snapshot delta around an op is exact only while the
-  /// shard latch is exclusive: under shared latching, parallel readers on
-  /// one shard would each see the others' bumps inside their own delta and
+  /// sides of the shard latch. A snapshot delta around an op is exact only
+  /// while the shard latch is held exclusively: parallel readers holding it
+  /// shared would each see the others' bumps inside their own delta and
   /// double-count. The tally routes each bump to exactly the thread that
   /// performed it. Bumps to OTHER IoStats instances (e.g. a cross-shard
   /// writeback under a shared buffer pool) are not tallied.
@@ -150,7 +150,7 @@ class IoStats {
       if (t->target_ == this) ++t->sink_->leaf_nodes_visited;
     }
   }
-  /// Engine read path, shared mode only (see IoStatsSnapshot).
+  /// Engine read path, on a blocked shared acquisition (see IoStatsSnapshot).
   void CountReadLockWait() { read_lock_waits_.fetch_add(1, std::memory_order_relaxed); }
 
   IoStatsSnapshot snapshot() const;

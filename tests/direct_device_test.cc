@@ -23,6 +23,8 @@
 namespace liod {
 namespace {
 
+using testing_util::ExpectSameCountedIo;
+
 constexpr std::size_t kBs = 4096;
 
 std::vector<std::byte> Pattern(std::size_t size, unsigned char seed) {
@@ -304,16 +306,6 @@ TEST(DeviceTelemetry, DirectBatchCoalescesViaRingOrVectored) {
 }
 
 // --- counted I/O is bit-exact across devices ----------------------------
-
-void ExpectSameCountedIo(const IoStatsSnapshot& a, const IoStatsSnapshot& b,
-                         const std::string& label) {
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.buffer_hits, b.buffer_hits) << label;
-  EXPECT_EQ(a.buffer_misses, b.buffer_misses) << label;
-  EXPECT_EQ(a.buffer_evictions, b.buffer_evictions) << label;
-  EXPECT_EQ(a.buffer_writebacks, b.buffer_writebacks) << label;
-}
 
 /// The modeled evaluation numbers must be reproducible on real hardware:
 /// the same YCSB-A tape over the same index must count the exact same block

@@ -501,7 +501,6 @@ EngineOptions TelemetryEngineOptions(MergeMode merge_mode) {
   EngineOptions options;
   options.index_name = "btree";
   options.num_shards = 2;
-  options.shard_lock_mode = ShardLockMode::kShared;
   options.index = BufferedDurableOptions();
   options.index.update_buffer_merge_mode = merge_mode;
   return options;
@@ -699,7 +698,7 @@ TEST(TelemetryEngineTest, EachExecuteCallRecordsOneSampleAndOneSpan) {
 // --- striped OpBreakdown under parallel readers -----------------------------
 
 TEST(OpBreakdownConcurrencyTest, ParallelLookupsRecordSerialTotals) {
-  // Every lookup charges a PhaseScope; under the engine's shared lock mode
+  // Every lookup charges a PhaseScope; under the engine's shared shard latch
   // those run in parallel on one index instance. The striped totals must
   // merge to exactly what a serial run records -- same event count, same
   // thread-exact I/O (CPU time is wall-clock and excluded).

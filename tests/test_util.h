@@ -16,9 +16,12 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/random.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/io_stats.h"
 
 namespace liod {
 namespace testing_util {
@@ -69,6 +72,21 @@ inline std::vector<Record> ToRecords(const std::vector<Key>& keys) {
   std::vector<Record> records(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) records[i] = {keys[i], PayloadFor(keys[i])};
   return records;
+}
+
+/// Expects `got` and `want` to count the same I/O: every counted field,
+/// field by field. Not the defaulted operator==: read_lock_waits is
+/// timing-dependent by design and excluded from the comparison.
+inline void ExpectSameCountedIo(const IoStatsSnapshot& got, const IoStatsSnapshot& want,
+                                const std::string& label) {
+  EXPECT_EQ(got.reads, want.reads) << label;
+  EXPECT_EQ(got.writes, want.writes) << label;
+  EXPECT_EQ(got.buffer_hits, want.buffer_hits) << label;
+  EXPECT_EQ(got.buffer_misses, want.buffer_misses) << label;
+  EXPECT_EQ(got.buffer_evictions, want.buffer_evictions) << label;
+  EXPECT_EQ(got.buffer_writebacks, want.buffer_writebacks) << label;
+  EXPECT_EQ(got.inner_nodes_visited, want.inner_nodes_visited) << label;
+  EXPECT_EQ(got.leaf_nodes_visited, want.leaf_nodes_visited) << label;
 }
 
 /// Cooperative racing-thread harness for concurrency tests (the shared home

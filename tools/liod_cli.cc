@@ -32,6 +32,9 @@
 // block (the baseline that shows the batch path's syscall savings in
 // device.submissions).
 //
+// Numeric flags must parse completely ("abc" or "10k" exits 2 naming the
+// flag), and --block must be a power of two >= 512.
+//
 // --buffer is the paper's per-file frame budget; --buffer-budget N > 0
 // switches to one shared pool of N frames across all files and all shards,
 // so the budget spans the whole engine.
@@ -53,7 +56,7 @@
 // Every run goes through the ShardedEngine and the ConcurrentRunner, with
 // --threads client threads over --shards key-range shards. The defaults
 // (1/1) run one index on one thread, the paper's evaluation, and print the
-// single-index CSV columns; other shapes add threads/shards/lock_mode.
+// single-index CSV columns; other shapes add threads/shards.
 //
 // `serve` bulkloads --dataset/--bulk records (payload = key + 1) into a
 // ShardedEngine with the same engine flags as run, then serves the binary KV
@@ -82,10 +85,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -135,7 +141,6 @@ struct CliArgs {
   std::size_t scan_length = 100;
   std::size_t threads = 1;
   std::size_t shards = 1;
-  std::string lock_mode = "exclusive";  // shard latch discipline
   std::uint64_t seed = 42;
   double zipf_theta = 0.99;
   std::string disk = "both";
@@ -186,7 +191,6 @@ void Usage() {
       "           --scan-length N --disk hdd|ssd|both --csv --inner-in-memory\n"
       "           --threads N --shards N (engine CSV columns when either > 1)\n"
       "           --zipf THETA\n"
-      "           --lock-mode exclusive|shared (engine shard latches)\n"
       "           --update-buffer BLOCKS (0 = in-place) --merge-mode sync|background\n"
       "           --merge-threshold F (fraction of staging capacity; > 1 spills runs)\n"
       "           --durability none|async|group-commit|sync-per-op (WAL for the\n"
@@ -211,11 +215,40 @@ void Usage() {
       "             liod-stats/1 JSON) --watch N (re-poll every N s with deltas)\n");
 }
 
+/// Parses all of `text` as a base-10 unsigned integer; false on an empty
+/// value, a sign, trailing characters or overflow.
+bool ParseNumber(const char* text, std::uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+/// Parses all of `text` as a finite decimal number.
+bool ParseNumber(const char* text, double* out) {
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
 bool Parse(int argc, char** argv, int start, CliArgs* args) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* v = nullptr;
+    auto number = [&](auto* out) {
+      if (ParseNumber(v, out)) return true;
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", a.c_str(), v);
+      return false;
+    };
+    bool ok = true;
     if (a == "--help" || a == "-h") return false;
     if (a == "--csv") {
       args->csv = true;
@@ -239,41 +272,39 @@ bool Parse(int argc, char** argv, int start, CliArgs* args) {
     } else if (a == "--workload") {
       args->workload = v;
     } else if (a == "--bulk") {
-      args->bulk = std::strtoull(v, nullptr, 10);
+      ok = number(&args->bulk);
     } else if (a == "--ops") {
-      args->ops = std::strtoull(v, nullptr, 10);
+      ok = number(&args->ops);
     } else if (a == "--block") {
-      args->block = std::strtoull(v, nullptr, 10);
+      ok = number(&args->block);
     } else if (a == "--buffer") {
-      args->buffer = std::strtoull(v, nullptr, 10);
+      ok = number(&args->buffer);
     } else if (a == "--buffer-budget") {
-      args->buffer_budget = std::strtoull(v, nullptr, 10);
+      ok = number(&args->buffer_budget);
     } else if (a == "--buffer-policy") {
       args->buffer_policy = v;
     } else if (a == "--update-buffer") {
-      args->update_buffer = std::strtoull(v, nullptr, 10);
+      ok = number(&args->update_buffer);
     } else if (a == "--merge-mode") {
       args->merge_mode = v;
     } else if (a == "--merge-threshold") {
-      args->merge_threshold = std::strtod(v, nullptr);
+      ok = number(&args->merge_threshold);
     } else if (a == "--durability") {
       args->durability = v;
     } else if (a == "--group-window") {
-      args->group_window = std::strtoull(v, nullptr, 10);
+      ok = number(&args->group_window);
     } else if (a == "--checkpoint-every") {
-      args->checkpoint_every = std::strtoull(v, nullptr, 10);
+      ok = number(&args->checkpoint_every);
     } else if (a == "--scan-length") {
-      args->scan_length = std::strtoull(v, nullptr, 10);
+      ok = number(&args->scan_length);
     } else if (a == "--threads") {
-      args->threads = std::strtoull(v, nullptr, 10);
+      ok = number(&args->threads);
     } else if (a == "--shards") {
-      args->shards = std::strtoull(v, nullptr, 10);
-    } else if (a == "--lock-mode") {
-      args->lock_mode = v;
+      ok = number(&args->shards);
     } else if (a == "--seed") {
-      args->seed = std::strtoull(v, nullptr, 10);
+      ok = number(&args->seed);
     } else if (a == "--zipf") {
-      args->zipf_theta = std::strtod(v, nullptr);
+      ok = number(&args->zipf_theta);
     } else if (a == "--disk") {
       args->disk = v;
     } else if (a == "--device") {
@@ -287,29 +318,30 @@ bool Parse(int argc, char** argv, int start, CliArgs* args) {
     } else if (a == "--sample-out") {
       args->sample_out = v;
     } else if (a == "--sample-every-ms") {
-      args->sample_every_ms = std::strtoull(v, nullptr, 10);
+      ok = number(&args->sample_every_ms);
     } else if (a == "--listen") {
       args->listen = v;
     } else if (a == "--workers") {
-      args->server_workers = std::strtoull(v, nullptr, 10);
+      ok = number(&args->server_workers);
     } else if (a == "--queue") {
-      args->server_queue = std::strtoull(v, nullptr, 10);
+      ok = number(&args->server_queue);
     } else if (a == "--wal-dir") {
       args->wal_dir = v;
     } else if (a == "--metrics-listen") {
       args->metrics_listen = v;
     } else if (a == "--slow-op-us") {
-      args->slow_op_us = std::strtod(v, nullptr);
+      ok = number(&args->slow_op_us);
     } else if (a == "--slow-op-cap") {
-      args->slow_op_cap = std::strtoull(v, nullptr, 10);
+      ok = number(&args->slow_op_cap);
     } else if (a == "--connect") {
       args->connect = v;
     } else if (a == "--watch") {
-      args->watch = std::strtoull(v, nullptr, 10);
+      ok = number(&args->watch);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", a.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   if (args->threads == 0) args->threads = 1;
   if (args->shards == 0) args->shards = 1;
@@ -548,12 +580,6 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
   engine_options.index_name = args.index;
   engine_options.num_shards = args.shards;
   engine_options.index = options;
-  if (!ShardLockModeFromName(args.lock_mode, &engine_options.shard_lock_mode)) {
-    std::fprintf(stderr, "unknown lock mode '%s'\n", args.lock_mode.c_str());
-    return 2;
-  }
-  // A shared budget means one pool for the whole engine.
-  engine_options.share_buffers_across_shards = args.buffer_budget > 0;
   // At 1 x 1 a durable index logs to the CLI's slot, which honors --device
   // and outlives the engine across the --recover demo's simulated crash.
   const bool one_by_one = args.threads == 1 && args.shards == 1;
@@ -611,20 +637,19 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
   const IndexStats& stats = result.stats_after;
   const double ops_den =
       result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
-  const char* lock_mode = ShardLockModeName(engine_options.shard_lock_mode);
   if (args.csv) {
     // scripts/compare_bench.py keys rows by these columns: 1 x 1 rows keep
     // the single-index set (with stddev_us and invalid_mib), every other
-    // shape adds threads/shards/lock_mode instead.
+    // shape adds threads/shards instead.
     std::printf(
         "index,dataset,workload,%sdisk,ops,tput_ops_s,reads_per_op,writes_per_op,p99_us,%s"
         "disk_mib,%sheight,smos,hit_inner,hit_leaf,hit_overall,durability,wal_writes,"
         "p50_us,p999_us,device,wall_us,wall_p50_us,wall_p999_us\n",
-        one_by_one ? "" : "threads,shards,lock_mode,", one_by_one ? "stddev_us," : "",
+        one_by_one ? "" : "threads,shards,", one_by_one ? "stddev_us," : "",
         one_by_one ? "invalid_mib," : "");
     for (const DiskModel& disk : disks) {
       std::printf("%s,%s,%s,", args.index.c_str(), args.dataset.c_str(), args.workload.c_str());
-      if (!one_by_one) std::printf("%zu,%zu,%s,", args.threads, engine->num_shards(), lock_mode);
+      if (!one_by_one) std::printf("%zu,%zu,", args.threads, engine->num_shards());
       std::printf("%s,%llu,%.2f,%.3f,%.3f,%.1f,", disk.name.c_str(),
                   static_cast<unsigned long long>(result.operations),
                   result.ThroughputOps(disk),
@@ -647,11 +672,10 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
     }
   } else {
     std::printf(
-        "%s on %s / %s: %llu ops, %zu threads x %zu shards (%s locking), "
-        "%zu bulkloaded keys\n",
+        "%s on %s / %s: %llu ops, %zu threads x %zu shards, %zu bulkloaded keys\n",
         args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
         static_cast<unsigned long long>(result.operations), args.threads,
-        engine->num_shards(), lock_mode, w.bulk.size());
+        engine->num_shards(), w.bulk.size());
     std::printf("  blocks/op: %.2f read, %.2f written\n",
                 static_cast<double>(result.io.TotalReads()) / ops_den,
                 static_cast<double>(result.io.TotalWrites()) / ops_den);
@@ -698,6 +722,10 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
 /// Returns 0 on success, 2 (after complaining to stderr) on a bad value;
 /// callers print Usage() on failure.
 int BuildIndexOptions(const CliArgs& args, IndexOptions* options) {
+  if (!IsValidBlockSize(args.block)) {
+    std::fprintf(stderr, "--block must be a power of two >= 512 (got %zu)\n", args.block);
+    return 2;
+  }
   options->block_size = args.block;
   options->buffer_pool_blocks = args.buffer;
   options->shared_buffer_budget_blocks = args.buffer_budget;
@@ -879,11 +907,6 @@ int ServeCommand(const CliArgs& args) {
   engine_options.index_name = args.index;
   engine_options.num_shards = args.shards;
   engine_options.index = options;
-  if (!ShardLockModeFromName(args.lock_mode, &engine_options.shard_lock_mode)) {
-    std::fprintf(stderr, "unknown lock mode '%s'\n", args.lock_mode.c_str());
-    return 2;
-  }
-  engine_options.share_buffers_across_shards = args.buffer_budget > 0;
 
   // --wal-dir pins shard i's WAL/checkpoint to DIR/shard<i>.{wal,ckpt}: a
   // fresh serve truncates them, `serve --recover` reopens what the previous
