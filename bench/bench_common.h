@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/options.h"
+#include "common/parse_number.h"
 #include "core/index_factory.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
@@ -68,16 +69,19 @@ struct BenchArgs {
         }
         return argv[++i];
       };
+      auto number = [&](auto* out) {
+        if (!ParseFlagNumber(a.c_str(), next(), out)) std::exit(2);
+      };
       if (a == "--search-keys") {
-        args.search_keys = std::strtoull(next(), nullptr, 10);
+        number(&args.search_keys);
       } else if (a == "--search-ops") {
-        args.search_ops = std::strtoull(next(), nullptr, 10);
+        number(&args.search_ops);
       } else if (a == "--write-bulk") {
-        args.write_bulk = std::strtoull(next(), nullptr, 10);
+        number(&args.write_bulk);
       } else if (a == "--write-ops") {
-        args.write_ops = std::strtoull(next(), nullptr, 10);
+        number(&args.write_ops);
       } else if (a == "--seed") {
-        args.seed = std::strtoull(next(), nullptr, 10);
+        number(&args.seed);
       } else if (a == "--datasets") {
         args.datasets = SplitList(next());
       } else if (a == "--indexes") {
@@ -89,7 +93,7 @@ struct BenchArgs {
       } else if (a == "--sample-out") {
         args.sample_out = next();
       } else if (a == "--sample-every-ms") {
-        args.sample_every_ms = std::strtoull(next(), nullptr, 10);
+        number(&args.sample_every_ms);
       } else if (a == "--help" || a == "-h") {
         std::printf(
             "flags: --search-keys N --search-ops N --write-bulk N --write-ops N"

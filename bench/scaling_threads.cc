@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/parse_number.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
 
@@ -44,12 +45,6 @@ struct ScalingArgs {
   std::string csv_path;  // empty: human table only
 };
 
-std::vector<std::size_t> SplitSizes(const std::string& list) {
-  std::vector<std::size_t> out;
-  for (const auto& s : SplitList(list)) out.push_back(std::strtoull(s.c_str(), nullptr, 10));
-  return out;
-}
-
 ScalingArgs ParseArgs(int argc, char** argv) {
   ScalingArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -61,20 +56,29 @@ ScalingArgs ParseArgs(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* text, auto* out) {
+      if (!ParseFlagNumber(a.c_str(), text, out)) std::exit(2);
+    };
+    auto sizes = [&](std::vector<std::size_t>* out) {
+      out->clear();
+      for (const std::string& token : SplitList(next())) {
+        number(token.c_str(), &out->emplace_back());
+      }
+    };
     if (a == "--dataset") {
       args.dataset = next();
     } else if (a == "--bulk") {
-      args.bulk = std::strtoull(next(), nullptr, 10);
+      number(next(), &args.bulk);
     } else if (a == "--ops") {
-      args.ops = std::strtoull(next(), nullptr, 10);
+      number(next(), &args.ops);
     } else if (a == "--seed") {
-      args.seed = std::strtoull(next(), nullptr, 10);
+      number(next(), &args.seed);
     } else if (a == "--zipf") {
-      args.zipf_theta = std::strtod(next(), nullptr);
+      number(next(), &args.zipf_theta);
     } else if (a == "--threads") {
-      args.threads = SplitSizes(next());
+      sizes(&args.threads);
     } else if (a == "--shards") {
-      args.shards = SplitSizes(next());
+      sizes(&args.shards);
     } else if (a == "--indexes") {
       args.indexes = SplitList(next());
     } else if (a == "--workloads") {

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/parse_number.h"
 #include "server/kv_client.h"
 #include "server/net.h"
 #include "workload/datasets.h"
@@ -103,7 +104,8 @@ bool Parse(int argc, char** argv, LoadgenArgs* args) {
     } else if (a == "--clients") {
       args->clients.clear();
       for (const std::string& tok : bench::SplitList(v)) {
-        const std::size_t n = std::strtoull(tok.c_str(), nullptr, 10);
+        std::uint64_t n = 0;
+        if (!ParseFlagNumber(a.c_str(), tok.c_str(), &n)) return false;
         if (n == 0) {
           std::fprintf(stderr, "--clients entries must be > 0 (got '%s')\n", tok.c_str());
           return false;
@@ -115,25 +117,25 @@ bool Parse(int argc, char** argv, LoadgenArgs* args) {
         return false;
       }
     } else if (a == "--ops") {
-      args->ops = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(a.c_str(), v, &args->ops)) return false;
     } else if (a == "--batch") {
-      args->batch = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(a.c_str(), v, &args->batch)) return false;
     } else if (a == "--dataset") {
       args->dataset = v;
     } else if (a == "--bulk") {
-      args->bulk = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(a.c_str(), v, &args->bulk)) return false;
     } else if (a == "--seed") {
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(a.c_str(), v, &args->seed)) return false;
     } else if (a == "--workload") {
       args->workload = v;
     } else if (a == "--zipf") {
-      args->zipf_theta = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(a.c_str(), v, &args->zipf_theta)) return false;
     } else if (a == "--scan-length") {
-      args->scan_length = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(a.c_str(), v, &args->scan_length)) return false;
     } else if (a == "--label") {
       args->label = v;
     } else if (a == "--connect-wait-ms") {
-      args->connect_wait_ms = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(a.c_str(), v, &args->connect_wait_ms)) return false;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", a.c_str());
       return false;

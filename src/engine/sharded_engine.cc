@@ -39,7 +39,9 @@ IndexOptions ShardOptions(IndexOptions options, std::size_t i, DurableStore* sto
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(const EngineOptions& options) : options_(options) {}
+ShardedEngine::ShardedEngine(const EngineOptions& options) : options_(options) {
+  static_assert(alignof(Shard) == 64, "each shard must start its own cache line");
+}
 
 ShardedEngine::~ShardedEngine() {
   // Buffer gauges capture per-shard IoStats pointers; drop them before the

@@ -221,7 +221,9 @@ class ShardedEngine {
   DiskIndex* shard(std::size_t i) { return shards_[i]->index.get(); }
 
  private:
-  struct Shard {
+  /// Cache-line aligned so that no two shards' latches share a line: an
+  /// acquisition on one shard must not invalidate its neighbour's latch.
+  struct alignas(64) Shard {
     std::unique_ptr<DiskIndex> index;
     /// Reader/writer latch: reads take it shared, writes and flushes
     /// exclusive.

@@ -9,8 +9,11 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <thread>
+
+#include "common/parse_number.h"
 
 namespace liod::server {
 
@@ -224,11 +227,9 @@ Status ParseEndpoint(const std::string& spec, Endpoint* out) {
       endpoint.host = port.substr(0, colon);
       port.erase(0, colon + 1);
     }
-    // At most five digits, so stoi cannot overflow before the range check.
-    ok = !endpoint.host.empty() && !port.empty() && port.size() <= 5 &&
-         port.find_first_not_of("0123456789") == std::string::npos;
-    if (ok) endpoint.port = std::stoi(port);
-    ok = ok && CheckPort(endpoint.port).ok();
+    std::uint64_t number = 0;
+    ok = !endpoint.host.empty() && ParseNumber(port.c_str(), &number) && number <= 65535;
+    if (ok) endpoint.port = static_cast<int>(number);
   }
   if (!ok) {
     return Status::InvalidArgument("bad endpoint '" + spec +

@@ -2,128 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
-#include <list>
+#include <string>
 
 namespace liod {
 
-namespace {
-
-/// Shared machinery of the exact-ordering policies: a recency list (front =
-/// newest) with O(1) erase. LRU and FIFO differ only in whether Touch
-/// reorders.
-class ListPolicy : public EvictionPolicy {
- public:
-  void Insert(std::size_t frame) override {
-    order_.push_front(frame);
-    pos_[frame] = order_.begin();
-  }
-  void Erase(std::size_t frame) override {
-    const auto it = pos_.find(frame);
-    order_.erase(it->second);
-    pos_.erase(it);
-  }
-  std::size_t Victim() override { return order_.back(); }
-
- protected:
-  std::list<std::size_t> order_;  // front = most recent
-  std::unordered_map<std::size_t, std::list<std::size_t>::iterator> pos_;
-};
-
-class LruPolicy final : public ListPolicy {
- public:
-  const char* name() const override { return "lru"; }
-  void Touch(std::size_t frame) override {
-    order_.splice(order_.begin(), order_, pos_[frame]);
-  }
-};
-
-class FifoPolicy final : public ListPolicy {
- public:
-  const char* name() const override { return "fifo"; }
-  void Touch(std::size_t) override {}  // insertion order only
-};
-
-/// Second-chance clock: a ring of frames with reference bits; the hand skips
-/// (and clears) referenced frames and evicts the first unreferenced one.
-/// Erased frames leave tombstones that are compacted once they dominate.
-class ClockPolicy final : public EvictionPolicy {
- public:
-  const char* name() const override { return "clock"; }
-
-  void Insert(std::size_t frame) override {
-    pos_[frame] = ring_.size();
-    ring_.push_back({frame, false});
-    ++live_;
-  }
-
-  void Touch(std::size_t frame) override { ring_[pos_[frame]].ref = true; }
-
-  void Erase(std::size_t frame) override {
-    const auto it = pos_.find(frame);
-    ring_[it->second].frame = kTombstone;
-    pos_.erase(it);
-    --live_;
-    if (ring_.size() > 2 * live_ + 8) Compact();
-  }
-
-  std::size_t Victim() override {
-    while (true) {
-      if (hand_ >= ring_.size()) hand_ = 0;
-      Entry& entry = ring_[hand_];
-      if (entry.frame == kTombstone) {
-        ++hand_;
-      } else if (entry.ref) {
-        entry.ref = false;  // second chance
-        ++hand_;
-      } else {
-        return entry.frame;  // hand stays: Erase will tombstone this slot
-      }
-    }
-  }
-
- private:
-  static constexpr std::size_t kTombstone = static_cast<std::size_t>(-1);
-  struct Entry {
-    std::size_t frame;
-    bool ref;
-  };
-
-  void Compact() {
-    std::vector<Entry> packed;
-    packed.reserve(live_);
-    // Preserve the circular order as seen from the hand so sweep progress
-    // carries over.
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      const Entry& entry = ring_[(hand_ + i) % ring_.size()];
-      if (entry.frame != kTombstone) packed.push_back(entry);
-    }
-    ring_ = std::move(packed);
-    hand_ = 0;
-    for (std::size_t i = 0; i < ring_.size(); ++i) pos_[ring_[i].frame] = i;
-  }
-
-  std::vector<Entry> ring_;
-  std::unordered_map<std::size_t, std::size_t> pos_;
-  std::size_t hand_ = 0;
-  std::size_t live_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(BufferPolicy policy) {
-  switch (policy) {
-    case BufferPolicy::kLru: return std::make_unique<LruPolicy>();
-    case BufferPolicy::kClock: return std::make_unique<ClockPolicy>();
-    case BufferPolicy::kFifo: return std::make_unique<FifoPolicy>();
-  }
-  return std::make_unique<LruPolicy>();
-}
-
 // --- FileHandle: thin locking forwarders ------------------------------------
 
-Status FileHandle::ReadBlock(BlockId id, std::byte* out) {
+Status FileHandle::ReadBlockRange(BlockId id, std::size_t offset, std::size_t length,
+                                  std::byte* out) {
+  const std::size_t block_size = device_->block_size();
+  if (offset > block_size || length > block_size - offset) {
+    return Status::InvalidArgument("ranged read of " + std::to_string(length) +
+                                   " bytes at offset " + std::to_string(offset) +
+                                   " overruns a " + std::to_string(block_size) +
+                                   "-byte block");
+  }
   std::lock_guard<std::mutex> lock(manager_->mu_);
-  return manager_->ReadBlockLocked(this, id, out);
+  return manager_->ReadBlockLocked(this, id, offset, length, out);
 }
 
 Status FileHandle::WriteBlock(BlockId id, const std::byte* data) {
@@ -188,7 +83,6 @@ BufferManager::~BufferManager() = default;
 std::size_t BufferManager::NewPoolLocked(std::size_t budget) {
   auto pool = std::make_unique<Pool>();
   pool->budget = budget;
-  pool->policy = MakeEvictionPolicy(options_.policy);
   if (!free_pools_.empty()) {
     const std::size_t index = free_pools_.back();
     free_pools_.pop_back();
@@ -268,7 +162,7 @@ Status BufferManager::WritebackLocked(Frame& frame) {
 
 Status BufferManager::MakeRoomLocked(Pool& pool) {
   while (pool.frames >= pool.budget) {
-    const std::size_t victim = pool.policy->Victim();
+    const std::size_t victim = VictimLocked(pool);
     Frame& frame = slots_[victim];
     // A failed write-back aborts the triggering operation; the victim stays
     // cached and dirty so no data is lost.
@@ -281,7 +175,8 @@ Status BufferManager::MakeRoomLocked(Pool& pool) {
   return Status::Ok();
 }
 
-std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool dirty) {
+std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool dirty,
+                                             std::unique_ptr<std::byte[]> data) {
   std::size_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -293,20 +188,20 @@ std::size_t BufferManager::InsertFrameLocked(FileHandle* file, BlockId id, bool 
   Frame& frame = slots_[slot];
   frame.file = file;
   frame.block = id;
-  frame.data = std::make_unique<std::byte[]>(file->device_->block_size());
+  frame.data = std::move(data);
   frame.dirty = dirty;
   file->frames_[id] = slot;
   Pool& pool = *pools_[file->pool_];
   ++pool.frames;
-  pool.policy->Insert(slot);
+  LinkLocked(pool, slot);
   return slot;
 }
 
 void BufferManager::DropFrameLocked(std::size_t slot) {
   Frame& frame = slots_[slot];
   Pool& pool = *pools_[frame.file->pool_];
-  pool.policy->Erase(slot);
   --pool.frames;
+  UnlinkLocked(pool, slot);
   frame.file->frames_.erase(frame.block);
   frame.file = nullptr;
   frame.data.reset();
@@ -314,26 +209,99 @@ void BufferManager::DropFrameLocked(std::size_t slot) {
   free_slots_.push_back(slot);
 }
 
-Status BufferManager::ReadBlockLocked(FileHandle* file, BlockId id, std::byte* out) {
+void BufferManager::LinkLocked(Pool& pool, std::size_t slot) {
+  Frame& frame = slots_[slot];
+  if (options_.policy == BufferPolicy::kClock) {
+    frame.ring_pos = pool.ring.size();
+    pool.ring.push_back({slot, false});
+    return;
+  }
+  frame.newer = kNoSlot;
+  frame.older = pool.newest;
+  if (pool.newest != kNoSlot) {
+    slots_[pool.newest].newer = slot;
+  } else {
+    pool.oldest = slot;
+  }
+  pool.newest = slot;
+}
+
+void BufferManager::TouchLocked(Pool& pool, std::size_t slot) {
+  switch (options_.policy) {
+    case BufferPolicy::kLru:
+      if (pool.newest != slot) {
+        UnlinkLocked(pool, slot);
+        LinkLocked(pool, slot);
+      }
+      return;
+    case BufferPolicy::kClock: pool.ring[slots_[slot].ring_pos].ref = true; return;
+    case BufferPolicy::kFifo: return;  // insertion order only
+  }
+}
+
+void BufferManager::UnlinkLocked(Pool& pool, std::size_t slot) {
+  const Frame& frame = slots_[slot];
+  if (options_.policy == BufferPolicy::kClock) {
+    pool.ring[frame.ring_pos].frame = kNoSlot;
+    if (pool.ring.size() <= 2 * pool.frames + 8) return;
+    // Compact in place, keeping the circular order as seen from the hand so
+    // sweep progress carries over.
+    std::rotate(pool.ring.begin(), pool.ring.begin() + pool.hand, pool.ring.end());
+    std::erase_if(pool.ring, [](const ClockEntry& entry) { return entry.frame == kNoSlot; });
+    pool.hand = 0;
+    for (std::size_t i = 0; i < pool.ring.size(); ++i) slots_[pool.ring[i].frame].ring_pos = i;
+    return;
+  }
+  if (frame.newer != kNoSlot) {
+    slots_[frame.newer].older = frame.older;
+  } else {
+    pool.newest = frame.older;
+  }
+  if (frame.older != kNoSlot) {
+    slots_[frame.older].newer = frame.newer;
+  } else {
+    pool.oldest = frame.newer;
+  }
+}
+
+std::size_t BufferManager::VictimLocked(Pool& pool) {
+  if (options_.policy != BufferPolicy::kClock) return pool.oldest;
+  while (true) {
+    if (pool.hand >= pool.ring.size()) pool.hand = 0;
+    ClockEntry& entry = pool.ring[pool.hand];
+    if (entry.frame == kNoSlot) {
+      ++pool.hand;
+    } else if (entry.ref) {
+      entry.ref = false;  // second chance
+      ++pool.hand;
+    } else {
+      return entry.frame;  // the hand stays: Unlink tombstones this entry
+    }
+  }
+}
+
+Status BufferManager::ReadBlockLocked(FileHandle* file, BlockId id, std::size_t offset,
+                                      std::size_t length, std::byte* out) {
   Pool& pool = *pools_[file->pool_];
   LIOD_RETURN_IF_ERROR(CheckBudget(pool));
   const auto it = file->frames_.find(id);
   if (it != file->frames_.end()) {
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-    pool.policy->Touch(it->second);
-    std::memcpy(out, slots_[it->second].data.get(), file->device_->block_size());
+    TouchLocked(pool, it->second);
+    std::memcpy(out, slots_[it->second].data.get() + offset, length);
     return Status::Ok();
   }
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
-  // Fetch straight into the caller's buffer BEFORE evicting: a failed read
+  // Fetch straight into the new frame's buffer BEFORE evicting: a failed read
   // must neither cache a stale frame nor cost another file's victim its slot
   // (under write-back an eager eviction would even pay a device write for a
   // read that never happens). The seed's BufferPool read-then-evicted too.
-  LIOD_RETURN_IF_ERROR(file->device_->Read(id, out));
+  auto data = std::make_unique_for_overwrite<std::byte[]>(file->device_->block_size());
+  LIOD_RETURN_IF_ERROR(file->device_->Read(id, data.get()));
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountRead(file->klass_);
   LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-  const std::size_t slot = InsertFrameLocked(file, id, /*dirty=*/false);
-  std::memcpy(slots_[slot].data.get(), out, file->device_->block_size());
+  std::memcpy(out, data.get() + offset, length);
+  (void)InsertFrameLocked(file, id, /*dirty=*/false, std::move(data));
   return Status::Ok();
 }
 
@@ -341,6 +309,7 @@ Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
                                        const std::byte* data) {
   Pool& pool = *pools_[file->pool_];
   LIOD_RETURN_IF_ERROR(CheckBudget(pool));
+  const std::size_t block_size = file->device_->block_size();
   if (!options_.write_back) {
     // Write-through: the device write always happens and is always counted.
     LIOD_RETURN_IF_ERROR(file->device_->Write(id, data));
@@ -350,9 +319,9 @@ Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
   const auto it = file->frames_.find(id);
   if (it != file->frames_.end()) {
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-    pool.policy->Touch(it->second);
+    TouchLocked(pool, it->second);
     Frame& frame = slots_[it->second];
-    std::memcpy(frame.data.get(), data, file->device_->block_size());
+    std::memcpy(frame.data.get(), data, block_size);
     frame.dirty = dirty;
     return Status::Ok();
   }
@@ -360,8 +329,9 @@ Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
   LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
   // Write-allocate: a full-block write needs no device read to populate the
   // frame. In write-back mode the device write is deferred to eviction/flush.
-  const std::size_t slot = InsertFrameLocked(file, id, dirty);
-  std::memcpy(slots_[slot].data.get(), data, file->device_->block_size());
+  const std::size_t slot =
+      InsertFrameLocked(file, id, dirty, std::make_unique_for_overwrite<std::byte[]>(block_size));
+  std::memcpy(slots_[slot].data.get(), data, block_size);
   return Status::Ok();
 }
 
@@ -383,7 +353,8 @@ Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId
                                        std::span<std::byte* const> outs) {
   if (ids.size() < 2 || !file->device_->SupportsBatch() || !StrictlyIncreasing(ids)) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      LIOD_RETURN_IF_ERROR(ReadBlockLocked(file, ids[i], outs[i]));
+      LIOD_RETURN_IF_ERROR(
+          ReadBlockLocked(file, ids[i], 0, file->device_->block_size(), outs[i]));
     }
     return Status::Ok();
   }
@@ -404,7 +375,7 @@ Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId
     const auto it = file->frames_.find(id);
     if (it != file->frames_.end()) {
       if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-      pool.policy->Touch(it->second);
+      TouchLocked(pool, it->second);
       std::memcpy(outs[i], slots_[it->second].data.get(), block_size);
       continue;
     }
@@ -415,7 +386,8 @@ Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId
     miss_ids.push_back(id);
     miss_outs.push_back(outs[i]);
     LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-    (void)InsertFrameLocked(file, id, /*dirty=*/false);
+    (void)InsertFrameLocked(file, id, /*dirty=*/false,
+                            std::make_unique_for_overwrite<std::byte[]>(block_size));
   }
   if (miss_ids.empty()) return Status::Ok();
   const Status status = file->device_->ReadBatch(miss_ids, miss_outs);
@@ -462,13 +434,14 @@ Status BufferManager::WriteBlocksLocked(FileHandle* file, std::span<const BlockI
     const auto it = file->frames_.find(id);
     if (it != file->frames_.end()) {
       if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-      pool.policy->Touch(it->second);
+      TouchLocked(pool, it->second);
       std::memcpy(slots_[it->second].data.get(), datas[i], block_size);
       continue;
     }
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
     LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-    const std::size_t slot = InsertFrameLocked(file, id, /*dirty=*/false);
+    const std::size_t slot = InsertFrameLocked(
+        file, id, /*dirty=*/false, std::make_unique_for_overwrite<std::byte[]>(block_size));
     std::memcpy(slots_[slot].data.get(), datas[i], block_size);
   }
   return Status::Ok();

@@ -21,35 +21,22 @@ namespace liod {
 
 class BufferManager;
 
-/// Eviction-policy strategy of one frame pool. Implementations track frames
-/// by their stable slot id and pick the next victim. The manager calls every
-/// method under its latch, so implementations need no locking of their own.
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-
-  virtual const char* name() const = 0;
-  /// `frame` entered the pool (it is the most recent frame).
-  virtual void Insert(std::size_t frame) = 0;
-  /// `frame` was accessed again (hit).
-  virtual void Touch(std::size_t frame) = 0;
-  /// `frame` left the pool (evicted or dropped).
-  virtual void Erase(std::size_t frame) = 0;
-  /// Chooses the frame to evict. Only called when the pool is non-empty.
-  virtual std::size_t Victim() = 0;
-};
-
-/// Factory over the policies of common/options.h: "lru", "clock", "fifo".
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(BufferPolicy policy);
-
 /// One registered file's view into the BufferManager: the block read/write
 /// interface PagedFile forwards to. Instances are created by
 /// BufferManager::RegisterFile and owned by the manager.
 class FileHandle {
  public:
-  /// Copies block `id` into `out`. A miss performs (and counts) a device
-  /// read; a hit performs none.
-  Status ReadBlock(BlockId id, std::byte* out);
+  /// Copies bytes [offset, offset + length) of block `id` into `out`. A miss
+  /// reads (and counts) the whole block from the device straight into a new
+  /// frame; a hit performs no device read. Either way only the requested
+  /// bytes are copied out, and the probe counts exactly like ReadBlock's.
+  /// offset + length beyond the block size fails with kInvalidArgument.
+  Status ReadBlockRange(BlockId id, std::size_t offset, std::size_t length, std::byte* out);
+
+  /// Copies block `id` into `out`: ReadBlockRange of the whole block.
+  Status ReadBlock(BlockId id, std::byte* out) {
+    return ReadBlockRange(id, 0, device_->block_size(), out);
+  }
 
   /// Writes block `id` from `data`. Write-through: the device write happens
   /// immediately and is counted. Write-back: the frame is dirtied and the
@@ -176,21 +163,46 @@ class BufferManager {
  private:
   friend class FileHandle;
 
+  static constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+
   struct Frame {
     FileHandle* file = nullptr;  ///< nullptr = free slot
     BlockId block = 0;
-    std::unique_ptr<std::byte[]> data;
     bool dirty = false;
+    /// LRU/FIFO: the neighbouring frames in the pool's recency list
+    /// (kNoSlot past either end).
+    std::size_t newer = kNoSlot;
+    std::size_t older = kNoSlot;
+    /// CLOCK: the frame's index in its pool's ring.
+    std::size_t ring_pos = 0;
+    std::unique_ptr<std::byte[]> data;
   };
 
+  /// One CLOCK ring entry: a frame slot (kNoSlot = tombstone) and its
+  /// reference bit.
+  struct ClockEntry {
+    std::size_t frame;
+    bool ref;
+  };
+
+  /// A frame pool and its eviction order. LRU and FIFO link the pool's
+  /// frames through Frame::newer/older, newest at `newest`; the victim is
+  /// `oldest`, and only LRU moves a hit frame to the front. CLOCK sweeps
+  /// `ring` with `hand`: a referenced frame loses its bit and is skipped,
+  /// the first unreferenced one is the victim. Erased frames leave
+  /// tombstones, compacted once they dominate.
   struct Pool {
     std::size_t budget = 0;
     std::size_t frames = 0;
-    std::unique_ptr<EvictionPolicy> policy;
+    std::size_t newest = kNoSlot;
+    std::size_t oldest = kNoSlot;
+    std::vector<ClockEntry> ring;
+    std::size_t hand = 0;
   };
 
   bool PoolIsPrivateLocked(const FileHandle* file) const;
-  Status ReadBlockLocked(FileHandle* file, BlockId id, std::byte* out);
+  Status ReadBlockLocked(FileHandle* file, BlockId id, std::size_t offset,
+                         std::size_t length, std::byte* out);
   Status WriteBlockLocked(FileHandle* file, BlockId id, const std::byte* data);
   Status ReadBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
                           std::span<std::byte* const> outs);
@@ -202,8 +214,18 @@ class BufferManager {
   /// leaves the victim cached and dirty.
   Status MakeRoomLocked(Pool& pool);
   Status WritebackLocked(Frame& frame);
-  std::size_t InsertFrameLocked(FileHandle* file, BlockId id, bool dirty);
+  /// Caches `data` (one block) as block `id` of `file` in a free slot; the
+  /// pool must have room.
+  std::size_t InsertFrameLocked(FileHandle* file, BlockId id, bool dirty,
+                                std::unique_ptr<std::byte[]> data);
   void DropFrameLocked(std::size_t slot);
+  /// Eviction-order bookkeeping of `pool` under options_.policy: `slot`
+  /// entered the pool, was hit, or left it; Victim picks the next frame to
+  /// evict (the pool must be non-empty).
+  void LinkLocked(Pool& pool, std::size_t slot);
+  void TouchLocked(Pool& pool, std::size_t slot);
+  void UnlinkLocked(Pool& pool, std::size_t slot);
+  std::size_t VictimLocked(Pool& pool);
   std::size_t NewPoolLocked(std::size_t budget);
   static Status CheckBudget(const Pool& pool);
 

@@ -78,15 +78,13 @@ void PagedFile::Free(BlockId id, std::uint32_t n) {
 
 Status PagedFile::ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std::byte* out) {
   const std::uint64_t bs = block_size();
-  BlockBuffer scratch(bs);
   std::uint64_t done = 0;
-  // Partial head block via the scratch buffer.
+  // Partial head block: only the requested bytes leave the frame.
   if (length > 0 && byte_offset % bs != 0) {
     const BlockId block = static_cast<BlockId>(byte_offset / bs);
     const std::uint64_t in_block = byte_offset % bs;
     const std::uint64_t chunk = std::min(length, bs - in_block);
-    LIOD_RETURN_IF_ERROR(buffer_->ReadBlock(block, scratch.data()));
-    std::memcpy(out + done, scratch.data() + in_block, chunk);
+    LIOD_RETURN_IF_ERROR(buffer_->ReadBlockRange(block, in_block, chunk, out));
     done += chunk;
   }
   // Block-aligned middle: one batched submission straight into the caller's
@@ -107,8 +105,7 @@ Status PagedFile::ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std
   // Partial tail block.
   if (done < length) {
     const BlockId block = static_cast<BlockId>((byte_offset + done) / bs);
-    LIOD_RETURN_IF_ERROR(buffer_->ReadBlock(block, scratch.data()));
-    std::memcpy(out + done, scratch.data(), length - done);
+    LIOD_RETURN_IF_ERROR(buffer_->ReadBlockRange(block, 0, length - done, out + done));
   }
   return Status::Ok();
 }

@@ -87,7 +87,8 @@ class PagedFile {
 
   /// Convenience: read/write an arbitrary byte range that may span blocks.
   /// Each touched block costs one block I/O, exactly as the on-disk indexes
-  /// pay it. Partial head/tail blocks use read-modify-write on writes.
+  /// pay it. Reads copy only the requested bytes out of the partial head and
+  /// tail frames; writes to partial head/tail blocks are read-modify-write.
   Status ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std::byte* out);
   Status WriteBytes(std::uint64_t byte_offset, std::uint64_t length, const std::byte* data);
 

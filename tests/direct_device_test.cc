@@ -326,7 +326,8 @@ TEST_P(DevicePinTest, YcsbACountedIoIdenticalAcrossDevices) {
     IndexOptions options;
     options.alex_max_data_node_slots = 1024;
     options.device = kind;
-    if (kind != DeviceKind::kModeled) options.device_path = ::testing::TempDir();
+    testing_util::ScopedTempDir dir;
+    if (kind != DeviceKind::kModeled) options.device_path = dir.path();
     ShardedEngine engine({.index_name = name, .index = options});
     ConcurrentRunResult result;
     EXPECT_TRUE(RunConcurrentWorkload(&engine, workload, {}, &result).ok())

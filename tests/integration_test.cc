@@ -138,7 +138,8 @@ TEST_P(RealFileTest, FileBackedMatchesSimulated) {
   IndexOptions mem_options = SmallNodes();
   IndexOptions file_options = SmallNodes();
   file_options.device = DeviceKind::kFile;
-  file_options.device_path = ::testing::TempDir();
+  testing_util::ScopedTempDir dir;
+  file_options.device_path = dir.path();
 
   auto mem_index = MakeIndex(name, mem_options);
   auto file_index = MakeIndex(name, file_options);

@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parse_number.h"
 #include "common/random.h"
 #include "engine/sharded_engine.h"
 #include "kv/request.h"
@@ -351,6 +352,28 @@ TEST(NetTest, ListenAndConnectRejectPortsOutsideTheRange) {
     EXPECT_EQ(server::ConnectTcp("127.0.0.1", port, &fd).code(),
               Status::Code::kInvalidArgument);
     EXPECT_EQ(fd, -1);
+  }
+}
+
+TEST(ParseNumber, AcceptsOnlyACompleteNumber) {
+  std::uint64_t u = 7;
+  ASSERT_TRUE(ParseNumber("0", &u));
+  EXPECT_EQ(u, 0u);
+  ASSERT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, 18446744073709551615ull);
+  for (const char* bad : {"", "abc", "10k", "1.5", "-1", "+1", " 1", "1 ",
+                          "18446744073709551616"}) {
+    u = 7;
+    EXPECT_FALSE(ParseNumber(bad, &u)) << "'" << bad << "'";
+    EXPECT_EQ(u, 7u) << "a rejected value must leave the output alone";
+  }
+  double d = 0;
+  ASSERT_TRUE(ParseNumber("0.99", &d));
+  EXPECT_DOUBLE_EQ(d, 0.99);
+  ASSERT_TRUE(ParseNumber("-2e3", &d));
+  EXPECT_DOUBLE_EQ(d, -2000.0);
+  for (const char* bad : {"", "abc", "0.9x", " 1", "inf", "nan", "1e999"}) {
+    EXPECT_FALSE(ParseNumber(bad, &d)) << "'" << bad << "'";
   }
 }
 

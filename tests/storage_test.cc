@@ -1,10 +1,15 @@
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <list>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "storage/block_device.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_model.h"
@@ -382,6 +387,216 @@ TEST(BufferManager, EveryPolicyRoundTripsData) {
   }
 }
 
+/// Checks that `got` holds `want` followed by untouched guard bytes.
+void ExpectExactCopy(const std::vector<std::byte>& got, const std::byte* want,
+                     std::size_t length, const std::string& label) {
+  ASSERT_EQ(0, std::memcmp(got.data(), want, length)) << label;
+  for (std::size_t i = length; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], std::byte{0xEE}) << label << ": wrote past the range at " << i;
+  }
+}
+
+TEST(BufferManager, RangedReadCopiesOnlyTheRequestedBytes) {
+  // Twin files with the same contents and 2-frame pools: one serves ranged
+  // reads, the other the whole-block ReadBlock calls they replace, so both
+  // must count the same I/O after every read, miss and hit alike.
+  BufferedFile ranged(2);
+  BufferedFile whole(2);
+  for (BlockId id = 0; id < 8; ++id) {
+    const auto data = Pattern(kBs, static_cast<unsigned char>(id));
+    ASSERT_TRUE(ranged.dev.Write(id, data.data()).ok());
+    ASSERT_TRUE(whole.dev.Write(id, data.data()).ok());
+  }
+  struct Case {
+    const char* name;
+    BlockId block;
+    std::size_t offset;
+    std::size_t length;
+  };
+  const Case cases[] = {
+      {"partial head", 1, kBs - 24, 24},
+      {"partial tail", 2, 0, 40},
+      {"interior", 3, 1000, 64},
+      {"aligned shorter than a block", 4, 0, 512},
+      {"whole block", 5, 0, kBs},
+      {"empty", 6, kBs, 0},
+  };
+  std::vector<std::byte> block(kBs);
+  for (const Case& c : cases) {
+    const auto want = Pattern(kBs, static_cast<unsigned char>(c.block));
+    for (const char* probe : {"miss", "hit"}) {
+      const std::string label = std::string(c.name) + " " + probe;
+      std::vector<std::byte> got(c.length + 16, std::byte{0xEE});
+      ASSERT_TRUE(ranged.file->ReadBlockRange(c.block, c.offset, c.length, got.data()).ok())
+          << label;
+      ASSERT_TRUE(whole.file->ReadBlock(c.block, block.data()).ok()) << label;
+      ExpectExactCopy(got, want.data() + c.offset, c.length, label);
+      EXPECT_EQ(ranged.stats.snapshot(), whole.stats.snapshot())
+          << label << ": " << ranged.stats.snapshot().ToString() << " vs "
+          << whole.stats.snapshot().ToString();
+    }
+  }
+  EXPECT_EQ(ranged.stats.snapshot().TotalMisses(), std::size(cases));
+  EXPECT_EQ(ranged.stats.snapshot().TotalHits(), std::size(cases));
+}
+
+TEST(BufferManager, RangedReadPastTheBlockIsRejected) {
+  BufferedFile f(2);
+  std::vector<std::byte> out(2 * kBs);
+  const std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (const auto& [offset, length] :
+       {std::pair<std::size_t, std::size_t>{0, kBs + 1}, {kBs - 8, 9}, {kBs + 1, 0},
+        {1, kMax}, {kMax, 2}}) {
+    EXPECT_EQ(f.file->ReadBlockRange(0, offset, length, out.data()).code(),
+              Status::Code::kInvalidArgument)
+        << "offset " << offset << " length " << length;
+  }
+  // Rejected before the probe: nothing counted, nothing cached.
+  EXPECT_EQ(f.stats.snapshot(), IoStatsSnapshot{});
+  EXPECT_EQ(f.file->cached_blocks(), 0u);
+}
+
+/// Reference eviction order of one pool, keyed by block. LRU and FIFO: a
+/// plain recency list, front = newest. CLOCK: a second-chance ring of
+/// (block, reference bit) entries swept by a hand, where an erased entry
+/// leaves a tombstone and the ring is rebuilt in sweep order from the hand
+/// once tombstones outnumber live entries by more than 8.
+class PoolModel {
+ public:
+  PoolModel(BufferPolicy policy, std::size_t budget) : policy_(policy), budget_(budget) {}
+
+  /// Returns whether `block` was cached, then applies the access.
+  bool Access(BlockId block) {
+    if (policy_ != BufferPolicy::kClock) {
+      const auto it = std::find(list_.begin(), list_.end(), block);
+      if (it != list_.end()) {
+        if (policy_ == BufferPolicy::kLru) list_.splice(list_.begin(), list_, it);
+        return true;
+      }
+      if (list_.size() == budget_) list_.pop_back();
+      list_.push_front(block);
+      return false;
+    }
+    for (Entry& entry : ring_) {
+      if (entry.live && entry.block == block) {
+        entry.ref = true;
+        return true;
+      }
+    }
+    if (live_ == budget_) Erase(ClockVictim());
+    ring_.push_back({block, false, true});
+    ++live_;
+    return false;
+  }
+
+  /// Drops every block. The order does not matter: when the ring is rebuilt
+  /// depends only on how many entries are live.
+  void Clear() {
+    list_.clear();
+    for (std::size_t pos = 0; live_ > 0;) {
+      if (ring_[pos].live) {
+        Erase(pos);
+        pos = 0;
+      } else {
+        ++pos;
+      }
+    }
+  }
+
+  std::size_t size() const { return policy_ == BufferPolicy::kClock ? live_ : list_.size(); }
+
+ private:
+  struct Entry {
+    BlockId block;
+    bool ref;
+    bool live;
+  };
+
+  std::size_t ClockVictim() {
+    while (true) {
+      if (hand_ >= ring_.size()) hand_ = 0;
+      Entry& entry = ring_[hand_];
+      if (!entry.live) {
+        ++hand_;
+      } else if (entry.ref) {
+        entry.ref = false;
+        ++hand_;
+      } else {
+        return hand_;
+      }
+    }
+  }
+
+  void Erase(std::size_t pos) {
+    ring_[pos].live = false;
+    --live_;
+    if (ring_.size() <= 2 * live_ + 8) return;
+    std::vector<Entry> packed;
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      const Entry& entry = ring_[(hand_ + i) % ring_.size()];
+      if (entry.live) packed.push_back(entry);
+    }
+    ring_ = std::move(packed);
+    hand_ = 0;
+  }
+
+  BufferPolicy policy_;
+  std::size_t budget_;
+  std::list<BlockId> list_;
+  std::vector<Entry> ring_;
+  std::size_t hand_ = 0;
+  std::size_t live_ = 0;
+};
+
+TEST(BufferManager, EvictionOrderMatchesAReferenceModelAcrossPools) {
+  // Two files of one manager, each with its own pool, under random reads,
+  // ranged reads and writes. Dropping one file's cache frees its slots, which
+  // the other file's next misses take over, so slots move between pools.
+  // Every access must hit or miss exactly as the reference model says.
+  for (BufferPolicy policy : {BufferPolicy::kLru, BufferPolicy::kFifo, BufferPolicy::kClock}) {
+    BufferManager::Options options;
+    options.policy = policy;
+    BufferManager manager(options);
+    constexpr BlockId kBlocks = 12;
+    const std::size_t budgets[2] = {3, 5};
+    MemoryBlockDevice devs[2] = {MemoryBlockDevice(kBs), MemoryBlockDevice(kBs)};
+    IoStats stats[2];
+    FileHandle* files[2];
+    PoolModel model[2] = {PoolModel(policy, budgets[0]), PoolModel(policy, budgets[1])};
+    for (int f = 0; f < 2; ++f) {
+      ASSERT_TRUE(devs[f].Grow(kBlocks).ok());
+      files[f] = manager.RegisterFile(&devs[f], &stats[f], FileClass::kLeaf, budgets[f]);
+    }
+    Rng rng(2024);
+    std::vector<std::byte> buf(kBs);
+    for (int step = 0; step < 4000; ++step) {
+      const int f = static_cast<int>(rng.NextBounded(2));
+      const std::string label = std::string(BufferPolicyName(policy)) + " step " +
+                                std::to_string(step) + " file " + std::to_string(f);
+      if (rng.NextBounded(50) == 0) {
+        ASSERT_TRUE(files[f]->DropCaches().ok());
+        model[f].Clear();
+        continue;
+      }
+      const BlockId block = static_cast<BlockId>(rng.NextBounded(kBlocks));
+      const IoStatsSnapshot before = stats[f].snapshot();
+      switch (rng.NextBounded(3)) {
+        case 0: ASSERT_TRUE(files[f]->ReadBlock(block, buf.data()).ok()) << label; break;
+        case 1:
+          ASSERT_TRUE(files[f]->ReadBlockRange(block, 8, 16, buf.data()).ok()) << label;
+          break;
+        default: ASSERT_TRUE(files[f]->WriteBlock(block, buf.data()).ok()) << label; break;
+      }
+      const IoStatsSnapshot delta = stats[f].snapshot() - before;
+      const bool hit = model[f].Access(block);
+      ASSERT_EQ(delta.TotalHits(), hit ? 1u : 0u) << label;
+      ASSERT_EQ(delta.TotalMisses(), hit ? 0u : 1u) << label;
+      ASSERT_EQ(files[f]->cached_blocks(), model[f].size()) << label;
+    }
+    EXPECT_EQ(manager.cached_frames(), model[0].size() + model[1].size());
+  }
+}
+
 // --- PagedFile ----------------------------------------------------------
 
 PagedFile MakeMemFile(IoStats* stats, PagedFileOptions options = {}) {
@@ -586,6 +801,56 @@ TEST(PagedFile, WriteBytesThroughWriteBackManagerDefersDeviceWrites) {
   EXPECT_EQ(stats.snapshot().WritebacksFor(FileClass::kLeaf), 2u);
 }
 
+TEST(PagedFile, ReadBytesCopiesOnlyTheRequestedBytes) {
+  // Twin single-frame files with the same contents: ReadBytes on one,
+  // ReadBlock of every block the range touches on the other. The bytes must
+  // match the range exactly and the counted I/O must match the twin's.
+  IoStats ranged_stats;
+  IoStats whole_stats;
+  auto ranged = MakeMemFile(&ranged_stats);
+  auto whole = MakeMemFile(&whole_stats);
+  (void)ranged.AllocateRun(4);
+  (void)whole.AllocateRun(4);
+  std::vector<std::byte> contents(4 * kBs);
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<std::byte>((i * 7 + i / kBs) & 0xFF);
+  }
+  ASSERT_TRUE(ranged.WriteBytes(0, contents.size(), contents.data()).ok());
+  ASSERT_TRUE(whole.WriteBytes(0, contents.size(), contents.data()).ok());
+  ranged_stats.Reset();
+  whole_stats.Reset();
+
+  struct Case {
+    const char* name;
+    std::uint64_t offset;
+    std::uint64_t length;
+  };
+  const Case cases[] = {
+      {"partial head and tail", kBs - 100, 300},
+      {"interior", kBs + 1000, 64},
+      {"aligned shorter than a block", 2 * kBs, 512},
+      {"whole block", 3 * kBs, kBs},
+      {"head, full middle, tail", kBs / 2, 3 * kBs},
+  };
+  std::vector<std::byte> block(kBs);
+  for (const Case& c : cases) {
+    for (const char* probe : {"first", "again"}) {
+      const std::string label = std::string(c.name) + " " + probe;
+      std::vector<std::byte> got(c.length + 16, std::byte{0xEE});
+      ASSERT_TRUE(ranged.ReadBytes(c.offset, c.length, got.data()).ok()) << label;
+      for (std::uint64_t b = c.offset / kBs; b <= (c.offset + c.length - 1) / kBs; ++b) {
+        ASSERT_TRUE(whole.ReadBlock(static_cast<BlockId>(b), block.data()).ok()) << label;
+      }
+      ExpectExactCopy(got, contents.data() + c.offset, c.length, label);
+      EXPECT_EQ(ranged_stats.snapshot(), whole_stats.snapshot())
+          << label << ": " << ranged_stats.snapshot().ToString() << " vs "
+          << whole_stats.snapshot().ToString();
+    }
+  }
+  EXPECT_GT(ranged_stats.snapshot().TotalHits(), 0u);
+  EXPECT_GT(ranged_stats.snapshot().TotalMisses(), 0u);
+}
+
 // --- FaultInjectionDevice ------------------------------------------------
 
 TEST(FaultInjection, FailAfterCountsDown) {
@@ -627,6 +892,39 @@ TEST(FaultInjection, ManagerPropagatesErrorsWithoutCaching) {
   raw->ClearFailBlock();
   // After the failure clears, the block must be readable (not a stale frame).
   EXPECT_TRUE(file->ReadBlock(1, buf.data()).ok());
+}
+
+TEST(FaultInjection, FailedReadBytesCachesNothingAndEvictsNothing) {
+  // A miss reads straight into the new frame's buffer, before any eviction:
+  // when that read fails, no frame is cached for the block and the pool's
+  // victim keeps its slot.
+  auto base = std::make_unique<MemoryBlockDevice>(kBs);
+  auto* raw = new FaultInjectionDevice(std::unique_ptr<BlockDevice>(std::move(base)));
+  IoStats stats;
+  PagedFile file(std::unique_ptr<BlockDevice>(raw), &stats, FileClass::kLeaf, {});
+  (void)file.AllocateRun(2);
+  const auto data = Pattern(2 * kBs, 5);
+  ASSERT_TRUE(file.WriteBytes(0, data.size(), data.data()).ok());  // caches block 1
+  std::vector<std::byte> out(64);
+  ASSERT_TRUE(file.ReadBytes(10, out.size(), out.data()).ok());  // block 0 now cached
+  stats.Reset();
+
+  raw->FailBlock(1);
+  EXPECT_EQ(file.ReadBytes(kBs + 10, out.size(), out.data()).code(), Status::Code::kIoError);
+  EXPECT_EQ(file.buffer().cached_blocks(), 1u);
+  EXPECT_EQ(stats.snapshot().TotalEvictions(), 0u);
+  EXPECT_EQ(stats.snapshot().TotalReads(), 0u);
+  // Block 0 is still the cached frame: reading it again is a hit.
+  ASSERT_TRUE(file.ReadBytes(20, out.size(), out.data()).ok());
+  EXPECT_EQ(stats.snapshot().TotalHits(), 1u);
+  EXPECT_EQ(0, std::memcmp(out.data(), data.data() + 20, out.size()));
+
+  // Once the device recovers, the block reads from the device, not from a
+  // frame the failed read left behind.
+  raw->ClearFailBlock();
+  ASSERT_TRUE(file.ReadBytes(kBs + 10, out.size(), out.data()).ok());
+  EXPECT_EQ(stats.snapshot().TotalReads(), 1u);
+  EXPECT_EQ(0, std::memcmp(out.data(), data.data() + kBs + 10, out.size()));
 }
 
 TEST(FaultInjection, FailedReadLeavesVictimCachedAndDirty) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <string>
@@ -159,6 +161,32 @@ class RacingThreads {
   std::vector<std::thread> threads_;
   std::mutex mu_;
   Status first_error_;
+};
+
+/// A fresh directory under ::testing::TempDir() for one test's files. The
+/// destructor removes it with everything in it, so device files a test
+/// creates there (MakeBlockDevice names them liod_<pid>_<n>_<class>.bin and
+/// never unlinks them) do not outlive the test.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    std::string path = ::testing::TempDir() + "liod_test_XXXXXX";
+    if (::mkdtemp(path.data()) != nullptr) path_ = std::move(path);
+    EXPECT_FALSE(path_.empty()) << "mkdtemp failed: errno " << errno;
+  }
+
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 /// Lowers RLIMIT_NOFILE to just above the lowest free descriptor number and

@@ -85,10 +85,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -100,6 +98,7 @@
 #include <string>
 #include <thread>
 
+#include "common/parse_number.h"
 #include "storage/device_factory.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
@@ -215,39 +214,12 @@ void Usage() {
       "             liod-stats/1 JSON) --watch N (re-poll every N s with deltas)\n");
 }
 
-/// Parses all of `text` as a base-10 unsigned integer; false on an empty
-/// value, a sign, trailing characters or overflow.
-bool ParseNumber(const char* text, std::uint64_t* out) {
-  if (*text < '0' || *text > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-/// Parses all of `text` as a finite decimal number.
-bool ParseNumber(const char* text, double* out) {
-  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
 bool Parse(int argc, char** argv, int start, CliArgs* args) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     const char* v = nullptr;
-    auto number = [&](auto* out) {
-      if (ParseNumber(v, out)) return true;
-      std::fprintf(stderr, "invalid value for %s: '%s'\n", a.c_str(), v);
-      return false;
-    };
+    auto number = [&](auto* out) { return ParseFlagNumber(a.c_str(), v, out); };
     bool ok = true;
     if (a == "--help" || a == "-h") return false;
     if (a == "--csv") {
