@@ -4,10 +4,13 @@
 // deterministic workload tape (the same BuildConcurrentWorkload machinery the
 // in-process ConcurrentRunner uses, so a loadgen run and an engine-mode run
 // draw identical op sequences), and reports end-to-end throughput plus
-// p50/p99/p999 WALL latency per request round trip -- socket, framing, queue
-// wait, and engine execution included. Closed loop: each client keeps exactly
-// --batch ops in flight (one Call at a time), so offered load scales with
-// --clients and queueing delay shows up in the tail, not in a drop counter.
+// p50/p99/p999 WALL latency per request round trip -- socket, framing, and
+// engine execution on the connection's server-side reader thread included.
+// Closed loop: each client keeps exactly --batch ops in flight (one Call at a
+// time), so offered load scales with --clients and contention shows up in the
+// tail. Only multi-request frames can be shed: when more clients than the
+// server's --queue bound send --batch > 1 frames at once, the excess is
+// answered OVERLOADED (the `overloaded` column).
 //
 //   server_loadgen --connect unix:/tmp/liod.sock|tcp:[HOST:]PORT
 //                  [--clients 1,2,4,8] [--ops N] [--batch N]

@@ -150,7 +150,7 @@ Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& wo
   // (no-op under write-through).
   LIOD_RETURN_IF_ERROR(engine->FlushBuffers());
   result->bulkload_io = engine->MergedIo();
-  if (config.drop_caches_after_bulkload) LIOD_RETURN_IF_ERROR(engine->DropCaches());
+  LIOD_RETURN_IF_ERROR(engine->DropCaches());
 
   // --- measured op phase ----------------------------------------------------
   if (config.before_ops) config.before_ops();
@@ -164,15 +164,15 @@ Status RunConcurrentWorkload(ShardedEngine* engine, const ConcurrentWorkload& wo
     statuses[0] = RunTape(engine, workload.thread_ops[0], workload.scan_length, config,
                           &result->threads[0]);
   } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
+    std::vector<std::thread> runners;
+    runners.reserve(num_threads);
     for (std::size_t t = 0; t < num_threads; ++t) {
-      workers.emplace_back([&, t] {
+      runners.emplace_back([&, t] {
         statuses[t] = RunTape(engine, workload.thread_ops[t], workload.scan_length, config,
                               &result->threads[t]);
       });
     }
-    for (auto& w : workers) w.join();
+    for (auto& runner : runners) runner.join();
   }
   result->wall_us = ElapsedUs(ops_start);
   for (const Status& status : statuses) LIOD_RETURN_IF_ERROR(status);

@@ -83,7 +83,6 @@ struct ConcurrentRunResult {
 
 struct ConcurrentRunnerConfig {
   bool record_samples = false;  ///< keep per-op samples (tail-latency study)
-  bool drop_caches_after_bulkload = true;
   bool check_lookups = false;  ///< fail if a lookup or RMW misses its key
   /// Bumped once per completed operation across all tapes (relaxed); a
   /// progress-reporting thread may read it concurrently. Non-owning, may be
@@ -97,10 +96,11 @@ struct ConcurrentRunnerConfig {
   std::function<void()> before_ops;
 };
 
-/// Bulkloads `workload.bulk` into the engine, then executes every thread tape
-/// concurrently, one std::thread per tape. Tapes from BuildConcurrentWorkload
-/// only look up keys they know are live, so check_lookups is safe under any
-/// interleaving. Returns the first per-thread error, if any.
+/// Bulkloads `workload.bulk` into the engine, flushes and drops its caches,
+/// then executes every thread tape concurrently, one std::thread per tape.
+/// Tapes from BuildConcurrentWorkload only look up keys they know are live,
+/// so check_lookups is safe under any interleaving. Returns the first
+/// per-thread error, if any.
 ///
 /// The one workload runner: the paper figures run it at 1 thread x 1 shard
 /// (a one-shard engine and BuildConcurrentWorkload(keys, spec, 1)), which is

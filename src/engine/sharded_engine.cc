@@ -19,6 +19,10 @@ namespace liod {
 
 namespace {
 
+/// SpaceSaving slots per shard in the workload-heat tracker: the hot keys the
+/// stats op reports per shard (engine/heat_tracker.h).
+constexpr std::size_t kHeatTopK = 8;
+
 double ElapsedUs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
              std::chrono::steady_clock::now() - start)
@@ -158,10 +162,10 @@ Status ShardedEngine::Bulkload(std::span<const Record> records) {
   if (num_shards == 1) {
     load_shard(0);
   } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_shards);
-    for (std::size_t i = 0; i < num_shards; ++i) workers.emplace_back(load_shard, i);
-    for (auto& w : workers) w.join();
+    std::vector<std::thread> loaders;
+    loaders.reserve(num_shards);
+    for (std::size_t i = 0; i < num_shards; ++i) loaders.emplace_back(load_shard, i);
+    for (auto& loader : loaders) loader.join();
   }
   for (const Status& status : statuses) {
     if (!status.ok()) {
@@ -238,25 +242,19 @@ void ShardedEngine::RegisterTelemetry() {
         RegisterBufferGauges(metrics_, prefix, &shards_[i]->index->io_stats());
     gauge_names_.insert(gauge_names_.end(), names.begin(), names.end());
   }
-  if (options_.heat_top_k > 0) {
-    heat_.resize(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      heat_[i] = std::make_unique<ShardHeatTracker>(options_.heat_top_k);
-      ShardHeatTracker* heat = heat_[i].get();
-      const std::string prefix = "shard" + std::to_string(i) + ".heat.";
-      metrics_->RegisterGauge(prefix + "ops_per_s",
-                              [heat] { return heat->OpsPerSecond(); });
-      metrics_->RegisterGauge(prefix + "read_frac",
-                              [heat] { return heat->ReadFraction(); });
-      metrics_->RegisterGauge(prefix + "write_frac",
-                              [heat] { return heat->WriteFraction(); });
-      metrics_->RegisterGauge(prefix + "scan_frac",
-                              [heat] { return heat->ScanFraction(); });
-      gauge_names_.push_back(prefix + "ops_per_s");
-      gauge_names_.push_back(prefix + "read_frac");
-      gauge_names_.push_back(prefix + "write_frac");
-      gauge_names_.push_back(prefix + "scan_frac");
-    }
+  heat_.resize(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    heat_[i] = std::make_unique<ShardHeatTracker>(kHeatTopK);
+    ShardHeatTracker* heat = heat_[i].get();
+    const std::string prefix = "shard" + std::to_string(i) + ".heat.";
+    metrics_->RegisterGauge(prefix + "ops_per_s", [heat] { return heat->OpsPerSecond(); });
+    metrics_->RegisterGauge(prefix + "read_frac", [heat] { return heat->ReadFraction(); });
+    metrics_->RegisterGauge(prefix + "write_frac", [heat] { return heat->WriteFraction(); });
+    metrics_->RegisterGauge(prefix + "scan_frac", [heat] { return heat->ScanFraction(); });
+    gauge_names_.push_back(prefix + "ops_per_s");
+    gauge_names_.push_back(prefix + "read_frac");
+    gauge_names_.push_back(prefix + "write_frac");
+    gauge_names_.push_back(prefix + "scan_frac");
   }
 }
 

@@ -42,14 +42,6 @@ struct EngineOptions {
   /// cannot be recovered. Inject a store (and keep it) to recover shards
   /// individually via RecoveryManager with the same shard count.
   DurableStore* durable_store = nullptr;
-
-  /// SpaceSaving slots per shard for the workload-heat tracker (top-k hot
-  /// keys plus EWMA read/write/scan mix, engine/heat_tracker.h). Heat
-  /// tracking activates only when index.metrics is attached AND this is > 0:
-  /// with metrics off no tracker is even allocated, so the telemetry-off
-  /// path -- and its counted I/O -- is byte-identical to before this knob
-  /// existed. 0 disables heat tracking even with metrics on.
-  std::size_t heat_top_k = 8;
 };
 
 /// Key-range-sharded concurrent execution engine.
@@ -202,8 +194,8 @@ class ShardedEngine {
   /// the maximum. Thread-safe.
   IndexStats MergedStats() const;
 
-  /// True when per-shard heat trackers are active (metrics attached and
-  /// options().heat_top_k > 0 at Bulkload/RecoverFrom time).
+  /// True when per-shard heat trackers are active: exactly when index.metrics
+  /// was attached at Bulkload/RecoverFrom time.
   bool heat_enabled() const { return !heat_.empty(); }
 
   /// Snapshot of every shard's heat tracker, indexed by shard; empty when
@@ -302,8 +294,8 @@ class ShardedEngine {
   std::array<std::size_t, kv::kNumOpKinds> op_us_ids_{};
   std::size_t execute_us_id_ = 0;    ///< engine.execute_us (multi-request batches)
   std::size_t lock_wait_us_id_ = 0;  ///< engine.lock_wait_us
-  /// Per-shard heat trackers (empty unless metrics attached and heat_top_k >
-  /// 0), fed by CountOp and exported as shard<i>.heat.* gauges.
+  /// Per-shard heat trackers, one per shard when metrics are attached (empty
+  /// otherwise), fed by CountOp and exported as shard<i>.heat.* gauges.
   std::vector<std::unique_ptr<ShardHeatTracker>> heat_;
   /// Per-shard buffer and heat gauges (RegisterBufferGauges + shard<i>.heat.*),
   /// unregistered in the destructor before the shards -- and their IoStats

@@ -25,7 +25,6 @@ constexpr char kBatchesOverloaded[] = "server.batches_overloaded";
 constexpr char kBatchesShutdownRejected[] = "server.batches_shutdown_rejected";
 constexpr char kMalformedFrames[] = "server.malformed_frames";
 constexpr char kStatsRequests[] = "server.stats_requests";
-constexpr char kQueueDepth[] = "server.queue_depth";
 
 double Us(std::chrono::steady_clock::duration d) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(d).count();
@@ -106,9 +105,6 @@ Status KvServer::Start() {
   if (options_.unix_path.empty() && options_.tcp_port < 0) {
     return Status::InvalidArgument("KvServer: no listener configured");
   }
-  if (options_.workers == 0) {
-    return Status::InvalidArgument("KvServer: workers must be >= 1");
-  }
   LIOD_RETURN_IF_ERROR(engine_->FlushBuffers());  // fail fast on a dead engine
   if (options_.slow_op_us > 0.0) {
     slow_ring_ = std::make_unique<SlowOpRing>(options_.slow_op_capacity);
@@ -116,15 +112,10 @@ Status KvServer::Start() {
   LIOD_RETURN_IF_ERROR(ListenAll(options_.unix_path, options_.tcp_host, options_.tcp_port,
                                 &unix_fd_, &tcp_fd_, &tcp_port_));
   started_ = true;
-  options_.metrics->RegisterGauge(kQueueDepth,
-                                  [this] { return static_cast<double>(queue_depth()); });
   if (unix_fd_ >= 0) {
     accept_threads_.emplace_back(&KvServer::AcceptLoop, this, unix_fd_, false);
   }
   if (tcp_fd_ >= 0) accept_threads_.emplace_back(&KvServer::AcceptLoop, this, tcp_fd_, true);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back(&KvServer::WorkerLoop, this);
-  }
   return Status::Ok();
 }
 
@@ -145,8 +136,9 @@ void KvServer::AcceptLoop(int listen_fd, bool tcp) {
     std::lock_guard<std::mutex> lock(conns_mu_);
     ReleaseFinishedLocked();
     // Started under conns_mu_, so the other listener's accept thread never
-    // reads conn->reader while it is being assigned.
-    conn->reader = std::thread(&KvServer::ReaderLoop, this, conn);
+    // reads conn->reader while it is being assigned. conns_ keeps the
+    // connection alive until its reader is joined.
+    conn->reader = std::thread(&KvServer::ReaderLoop, this, conn.get());
     conns_.push_back(std::move(conn));
   }
 }
@@ -167,21 +159,21 @@ void KvServer::ReleaseFinishedLocked() {
   }
 }
 
-void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
+void KvServer::ReaderLoop(Connection* conn) {
   std::vector<std::byte> body;
-  kv::RequestBatch batch;  // one-request frames execute here
+  kv::RequestBatch batch;
   for (;;) {
     const Status read_status = ReadFrameBody(conn->fd, kMaxFrameBytes, &body);
     if (!read_status.ok()) {
       if (read_status.code() == Status::Code::kInvalidArgument) {
         // Hostile length prefix: answer unaddressably (tag 0) then close --
         // the stream cannot be re-synchronized past a bad length.
-        RejectFrame(conn.get(), 0, 1, Status::Code::kInvalidArgument);
+        RejectFrame(conn, 0, 1, Status::Code::kInvalidArgument);
       }
       break;  // clean EOF, truncated frame, or socket error: drop the conn
     }
     if (IsStatsRequestBody(body)) {
-      HandleStatsRequest(conn.get(), SalvageTag(body));
+      HandleStatsRequest(conn, SalvageTag(body));
       continue;
     }
     std::uint32_t tag = 0;
@@ -190,83 +182,33 @@ void KvServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       // Malformed body (garbage op kind, count mismatch, ...): the fuzz
       // contract -- an error response, never a crash. The stream itself is
       // still framed, so the connection survives.
-      RejectFrame(conn.get(), SalvageTag(body), 1, Status::Code::kInvalidArgument);
+      RejectFrame(conn, SalvageTag(body), 1, Status::Code::kInvalidArgument);
       continue;
     }
     const auto decoded = std::chrono::steady_clock::now();
     const std::size_t op_count = batch.requests.size();
-
-    if (op_count == 1) {
-      // One request: run it here. A worker would add a thread wake-up and a
-      // context switch to every batch-1 round trip. This connection's next
-      // frame is read only after this one is answered, so a flood of
-      // one-request frames is paced by socket backpressure, not shed.
-      if (draining_.load()) {
-        RejectFrame(conn.get(), tag, op_count, Status::Code::kShuttingDown);
-      } else {
-        ExecuteFrame(conn.get(), tag, &batch, decoded);
-      }
-      continue;
-    }
-
-    Status::Code reject = Status::Code::kOk;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (draining_.load()) {
-        reject = Status::Code::kShuttingDown;
-      } else if (queue_.size() >= options_.queue_capacity) {
-        reject = Status::Code::kOverloaded;
-      } else {
-        {
-          std::lock_guard<std::mutex> plock(conn->pending_mu);
-          ++conn->pending;
-        }
-        queue_.push_back(WorkItem{conn, tag, std::move(batch.requests), decoded});
-      }
-    }
-    if (reject == Status::Code::kOk) {
-      queue_cv_.notify_one();
+    // A frame read after Shutdown began is refused, never executed: executing
+    // it would move committed state past the checkpoint Shutdown takes. A
+    // multi-request frame holds one of the queue_capacity slots from here
+    // until its response is written; a one-request frame takes none and is
+    // never shed. A slot taken only to find the bound reached goes straight
+    // back.
+    const bool takes_slot = op_count > 1;
+    if (draining_.load()) {
+      RejectFrame(conn, tag, op_count, Status::Code::kShuttingDown);
+    } else if (takes_slot && batches_running_.fetch_add(1) >= options_.queue_capacity) {
+      batches_running_.fetch_sub(1);
+      RejectFrame(conn, tag, op_count, Status::Code::kOverloaded);
     } else {
-      RejectFrame(conn.get(), tag, op_count, reject);
+      ExecuteFrame(conn, tag, &batch, decoded);
+      if (takes_slot) batches_running_.fetch_sub(1);
     }
   }
-  // Let in-flight batches answer before the client sees EOF, then end the
-  // conversation. The fd itself is released by the next accept or by
-  // Shutdown, once this thread has finished.
-  {
-    std::unique_lock<std::mutex> lock(conn->pending_mu);
-    conn->pending_cv.wait(lock, [&] { return conn->pending == 0; });
-  }
+  // Every frame read has been answered: end the conversation. The fd itself
+  // is released by the next accept or by Shutdown, once this thread has
+  // finished.
   ::shutdown(conn->fd, SHUT_WR);
   conn->finished.store(true);
-}
-
-void KvServer::WorkerLoop() {
-  kv::RequestBatch batch;
-  for (;;) {
-    WorkItem item;
-    bool drain_reject = false;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return draining_.load() || !queue_.empty(); });
-      if (queue_.empty()) return;  // draining and nothing left to fail
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      // The shutdown-drain contract: a batch that was admitted but not yet
-      // started when Shutdown began is FAILED with kShuttingDown, not
-      // silently dropped and not executed (executing it would move the
-      // committed state after the checkpoint decision).
-      drain_reject = draining_.load();
-    }
-    if (drain_reject) {
-      RejectFrame(item.conn.get(), item.tag, item.requests.size(),
-                  Status::Code::kShuttingDown);
-    } else {
-      batch.requests = std::move(item.requests);
-      ExecuteFrame(item.conn.get(), item.tag, &batch, item.decoded);
-    }
-    FinishPending(item.conn.get());
-  }
 }
 
 void KvServer::ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatch* batch,
@@ -311,22 +253,11 @@ void KvServer::RejectFrame(Connection* conn, std::uint32_t tag, std::size_t op_c
   WriteFrame(conn, body);
 }
 
-void KvServer::FinishPending(Connection* conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->pending_mu);
-    --conn->pending;
-  }
-  conn->pending_cv.notify_all();
-}
-
 void KvServer::WriteFrame(Connection* conn, std::span<const std::byte> body) {
+  if (conn->closed) return;
   std::vector<std::byte> frame;
   FrameBody(body, &frame);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->closed.load(std::memory_order_relaxed)) return;
-  if (!WriteAll(conn->fd, frame).ok()) {
-    conn->closed.store(true, std::memory_order_relaxed);
-  }
+  if (!WriteAll(conn->fd, frame).ok()) conn->closed = true;
 }
 
 void KvServer::HandleStatsRequest(Connection* conn, std::uint32_t tag) {
@@ -336,11 +267,6 @@ void KvServer::HandleStatsRequest(Connection* conn, std::uint32_t tag) {
     EncodeRejectionBody(tag, 1, Status::Code::kInvalidArgument, &body);
   }
   WriteFrame(conn, body);
-}
-
-std::size_t KvServer::queue_depth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
 }
 
 SlowOpRing::Snapshot KvServer::slow_ops() const {
@@ -369,12 +295,8 @@ std::string KvServer::StatsJson() const {
   out += ",";
   AppendField(&out, "stats_requests", c.stats_requests);
   out += ",";
-  AppendField(&out, "queue_depth", static_cast<std::uint64_t>(queue_depth()));
-  out += ",";
   AppendField(&out, "queue_capacity",
               static_cast<std::uint64_t>(options_.queue_capacity));
-  out += ",";
-  AppendField(&out, "workers", static_cast<std::uint64_t>(options_.workers));
   out += ",";
   AppendField(&out, "slow_op_threshold_us", options_.slow_op_us);
   out += ",";
@@ -450,25 +372,15 @@ std::string KvServer::StatsJson() const {
 Status KvServer::Shutdown() {
   if (!started_ || stopped_) return Status::Ok();
   stopped_ = true;
-  // The queue-depth gauge's callback reads this object; drop it before any
-  // teardown so a concurrent registry snapshot cannot race the drain.
-  options_.metrics->UnregisterGauge(kQueueDepth);
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    draining_.store(true);
-  }
-  // Wake every worker NOW: they keep running through the reader joins below,
-  // answering queued batches with kShuttingDown so the readers' pending
-  // drains (a reader waits for its in-flight responses before exiting).
-  queue_cv_.notify_all();
+  draining_.store(true);
   // 1. Stop accepting: close the listeners, unblocking accept().
   CloseListener(&unix_fd_);
   CloseListener(&tcp_fd_);
   for (std::thread& t : accept_threads_) t.join();
   accept_threads_.clear();
-  // 2. Stop reading: shut down each connection's read side so its reader
-  //    sees EOF. Write sides stay open -- queued batches still get their
-  //    kShuttingDown responses.
+  // 2. Stop reading: shut down each connection's read side. Its reader
+  //    finishes the frame in hand, answers any frame still queued in the
+  //    socket kShuttingDown, then sees EOF and half-closes the write side.
   std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -478,17 +390,13 @@ Status KvServer::Shutdown() {
   for (const auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
   }
-  // 3. The workers have been draining since the notify above; they exit once
-  //    the queue is empty.
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
   for (const auto& conn : conns) ::close(conn->fd);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.clear();
   }
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
-  // 4. Checkpoint through the engine: merge staged updates + checkpoint
+  // 3. Checkpoint through the engine: merge staged updates + checkpoint
   //    (FlushUpdates), then sync WALs and write back dirty frames
   //    (FlushBuffers). A restart with --recover replays an empty tail.
   LIOD_RETURN_IF_ERROR(engine_->FlushUpdates());

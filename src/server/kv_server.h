@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -32,16 +30,17 @@ struct ServerOptions {
   /// tcp_port()).
   int tcp_port = -1;
   std::string tcp_host = "127.0.0.1";
-  /// Worker threads executing multi-request frames against the engine. A
-  /// one-request frame never reaches them: its reader thread executes it.
+  /// Never read: every frame runs on its connection's reader thread. Kept
+  /// only while perfbench assigns it (ROADMAP item 3 deletes it).
   std::size_t workers = 4;
-  /// Admission queue bound for multi-request frames: frames queued beyond
-  /// this are shed with kOverloaded on every op (never executed, never
-  /// blocked on). One-request frames bypass the queue and are never shed.
+  /// Admission bound for multi-request frames: at most this many execute at
+  /// once across all connections. A multi-request frame that arrives while
+  /// all are taken is shed with kOverloaded on every op (never executed,
+  /// never blocked on). One-request frames take no slot and are never shed.
   std::size_t queue_capacity = 64;
-  /// Registry the server counts in (the server.* counters, histograms and
-  /// queue-depth gauge behind counters() and the stats op). Null: the server
-  /// counts in a registry of its own. Non-null: it must outlive the server.
+  /// Registry the server counts in (the server.* counters and histograms
+  /// behind counters() and the stats op). Null: the server counts in a
+  /// registry of its own. Non-null: it must outlive the server.
   MetricRegistry* metrics = nullptr;
   /// Optional "net" spans.
   TraceRecorder* trace = nullptr;
@@ -62,7 +61,7 @@ struct ServerCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t batches_executed = 0;  ///< samples in server.execute_us
   std::uint64_t ops_executed = 0;
-  std::uint64_t batches_overloaded = 0;      ///< shed by the full queue
+  std::uint64_t batches_overloaded = 0;      ///< shed by the admission bound
   std::uint64_t batches_shutdown_rejected = 0;  ///< failed during drain
   std::uint64_t malformed_frames = 0;
   std::uint64_t stats_requests = 0;  ///< kStatsOpKind frames answered inline
@@ -71,31 +70,25 @@ struct ServerCounters {
 /// Socket front-end over one ShardedEngine: length-prefixed binary frames
 /// (server/protocol.h) over unix-domain and/or TCP sockets.
 ///
-/// Threading: one accept thread per listener, one reader thread per
-/// connection, `workers` executor threads behind ONE bounded admission
-/// queue. Readers decode frames. A frame of exactly one request runs on its
-/// reader, which executes it and writes the response before reading the
-/// connection's next frame: one-request frames execute one at a time per
-/// connection, in arrival order, without a hand-off to another thread, and a
-/// flood of them is slowed by socket backpressure, never shed. A
-/// multi-request frame goes to the queue; a full queue sheds it with an
-/// immediate all-ops kOverloaded response (admission control fails fast --
-/// it never blocks the reader, so a flooding client gets backpressure as
-/// explicit rejections, not a hang). Workers pop queued frames and run them.
-/// Either way the frame goes through ShardedEngine::Execute -- requests from
+/// Threading: one accept thread per listener and one reader thread per
+/// connection, and nothing else. A reader decodes a frame, runs it through
+/// ShardedEngine::Execute and writes its response before it reads the
+/// connection's next frame, so each connection has at most one frame in
+/// execution and pipelined frames are answered in send order. Requests from
 /// ALL connections share the engine's shard latches, and a multi-op frame
-/// takes each latch once -- and its response is written under the
-/// connection's write lock (pipelined frames may complete out of order; the
-/// frame tag lets the client re-match).
+/// takes each latch once. Admission control covers multi-request frames
+/// only: while queue_capacity of them execute across all connections,
+/// another is shed with an immediate all-ops kOverloaded response (it fails
+/// fast and never blocks the reader). A one-request frame is never shed; a
+/// flood of them is paced by socket backpressure.
 ///
 /// Shutdown() drains gracefully: listeners close, connection read sides shut
-/// down (in-flight reads see EOF), a one-request frame read after the drain
-/// began is answered kShuttingDown by its reader, and every frame still
-/// queued is answered kShuttingDown by the draining workers -- never silently
-/// dropped (a response or a clean EOF is guaranteed for every accepted
-/// frame). After the readers and workers join, the engine is checkpointed
-/// (FlushUpdates) and its WAL synced (FlushBuffers), so a subsequent start
-/// with --recover replays nothing and answers the full committed history.
+/// down (in-flight reads see EOF), and a frame read after the drain began is
+/// answered kShuttingDown -- never silently dropped (a response or a clean
+/// EOF is guaranteed for every accepted frame). After the readers join, the
+/// engine is checkpointed (FlushUpdates) and its WAL synced (FlushBuffers),
+/// so a subsequent start with --recover replays nothing and answers the full
+/// committed history.
 ///
 /// A connection whose conversation has ended keeps its fd and reader thread
 /// until the next accept on either listener, which releases it, or until
@@ -109,7 +102,7 @@ class KvServer {
   KvServer(const KvServer&) = delete;
   KvServer& operator=(const KvServer&) = delete;
 
-  /// Binds the configured listeners and spawns accept/worker threads.
+  /// Binds the configured listeners and spawns their accept threads.
   Status Start();
 
   /// Graceful drain as documented above. Idempotent. Returns the first
@@ -124,15 +117,12 @@ class KvServer {
   /// frame in flight. A registry shared by two servers sums both.
   ServerCounters counters() const;
 
-  /// Batches admitted but not yet popped by a worker.
-  std::size_t queue_depth() const;
-
   /// Snapshot of the slow-op ring; empty (all zeros) when slow_op_us == 0.
   SlowOpRing::Snapshot slow_ops() const;
 
   /// The server's one-call observability document ("liod-stats/1" JSON):
-  /// admission/execution counters, queue depth, queue-wait/execute p99s,
-  /// the slow-op ring, per-shard I/O and heat (hot keys + mix), and the
+  /// admission/execution counters, the admission bound, queue-wait/execute
+  /// p99s, the slow-op ring, per-shard I/O and heat (hot keys + mix), and the
   /// registry's full liod-telemetry/1 snapshot under "metrics", all from one
   /// snapshot. Serves both the wire stats op and the exporter's /stats.json;
   /// safe to call from any thread while serving.
@@ -141,25 +131,13 @@ class KvServer {
  private:
   struct Connection {
     int fd = -1;
-    std::mutex write_mu;  ///< serializes response frames
     std::thread reader;
-    std::atomic<bool> closed{false};
-    /// Batches admitted for this connection but not yet responded to. The
-    /// reader waits for it to drain before ending the conversation, so every
-    /// accepted frame's response is written before the client sees EOF.
-    std::mutex pending_mu;
-    std::condition_variable pending_cv;
-    std::size_t pending = 0;
+    /// Set by the reader when a response write fails (the peer hung up):
+    /// later responses are skipped. Only the reader touches it.
+    bool closed = false;
     /// Set by the reader as its last action: the accept thread may then join
     /// it and close the fd.
     std::atomic<bool> finished{false};
-  };
-
-  struct WorkItem {
-    std::shared_ptr<Connection> conn;
-    std::uint32_t tag = 0;
-    std::vector<kv::Request> requests;
-    std::chrono::steady_clock::time_point decoded;
   };
 
   /// Accepts connections until the server drains or the listener closes.
@@ -171,13 +149,13 @@ class KvServer {
   /// Joins and closes every connection whose reader has finished. Requires
   /// conns_mu_.
   void ReleaseFinishedLocked();
-  void ReaderLoop(const std::shared_ptr<Connection>& conn);
-  void WorkerLoop();
-  /// Executes one frame and answers it: the queue-wait (decode to start of
-  /// execution) and execute histograms, the ops counter, the "dispatch"
-  /// span, the slow-op ring and the response. The reader calls it for a
-  /// one-request frame, a worker for a popped one; `batch` is the caller's
-  /// reusable scratch holding the frame's requests.
+  /// Reads, runs and answers the connection's frames one at a time until
+  /// EOF, then half-closes it.
+  void ReaderLoop(Connection* conn);
+  /// Executes one admitted frame and answers it: the queue-wait (decode to
+  /// start of execution) and execute histograms, the ops counter, the
+  /// "dispatch" span, the slow-op ring and the response. `batch` is the
+  /// reader's reusable scratch holding the frame's requests.
   void ExecuteFrame(Connection* conn, std::uint32_t tag, kv::RequestBatch* batch,
                     std::chrono::steady_clock::time_point decoded);
   /// Counts a frame refused before execution -- kOverloaded, kShuttingDown,
@@ -185,16 +163,14 @@ class KvServer {
   /// all-ops rejection.
   void RejectFrame(Connection* conn, std::uint32_t tag, std::size_t op_count,
                    Status::Code code);
-  /// Frames `body` and writes it under conn->write_mu: the one writer of
-  /// every response. A write error marks the connection closed (the peer
-  /// hung up; nothing to do).
+  /// Frames `body` and writes it: the one writer of every response, called
+  /// only by the connection's reader. A write error marks the connection
+  /// closed (the peer hung up; nothing to do).
   void WriteFrame(Connection* conn, std::span<const std::byte> body);
-  /// Answers a stats request INLINE on the reader thread: the admin plane
-  /// bypasses the admission queue, so stats stay observable under overload
-  /// (a full queue sheds data batches, never this).
+  /// Answers a stats request on the reader thread. Stats frames take no
+  /// admission slot, so stats stay observable under the overload that sheds
+  /// data batches.
   void HandleStatsRequest(Connection* conn, std::uint32_t tag);
-  /// Decrements conn->pending and wakes its reader's drain wait.
-  void FinishPending(Connection* conn);
 
   ShardedEngine* engine_;
   ServerOptions options_;
@@ -203,20 +179,17 @@ class KvServer {
   int tcp_fd_ = -1;
   int tcp_port_ = -1;
   std::vector<std::thread> accept_threads_;
-  std::vector<std::thread> workers_;
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
 
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<WorkItem> queue_;
-  /// Set under queue_mu_ at the start of Shutdown (so waiting workers cannot
-  /// miss it): readers stop executing and admitting (kShuttingDown), workers
-  /// fail what is already queued.
+  /// Multi-request frames admitted and not yet answered, across all
+  /// connections; bounded by options_.queue_capacity.
+  std::atomic<std::size_t> batches_running_{0};
+  /// Set at the start of Shutdown: from then on readers answer every frame
+  /// kShuttingDown instead of executing it.
   std::atomic<bool> draining_{false};
-  /// Set once the listeners are bound; from then until Shutdown the
-  /// server.queue_depth gauge (its callback reads queue_) is registered.
+  /// Set once the listeners are bound.
   bool started_ = false;
   bool stopped_ = false;
 

@@ -31,11 +31,11 @@ namespace liod::server {
 ///                                                          u64 payload } }
 ///
 /// The tag is an opaque client token echoed verbatim in the response (the
-/// memcached "opaque"): with per-connection pipelining, concurrent workers
-/// may complete batches out of submission order, and the tag is how the
-/// client re-matches them. Response `code` bytes are Status::Code numeric
-/// values transported 1:1 (common/status.h documents the taxonomy as
-/// append-only for exactly this reason).
+/// memcached "opaque"): a client re-matches pipelined responses by tag, not
+/// by position (KvServer happens to answer each connection in send order).
+/// Response `code` bytes are Status::Code numeric values transported 1:1
+/// (common/status.h documents the taxonomy as append-only for exactly this
+/// reason).
 ///
 /// Robustness contract (enforced by the fuzz tests): a malformed body --
 /// bad op kind, op_count/body_len mismatch, oversized scan_count -- decodes

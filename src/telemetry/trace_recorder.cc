@@ -1,14 +1,11 @@
 #include "telemetry/trace_recorder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 namespace liod {
 
 namespace {
-
-std::atomic<std::uint64_t> g_next_recorder_uid{1};
 
 std::uint64_t SteadyNowNs() {
   return static_cast<std::uint64_t>(
@@ -28,67 +25,35 @@ void AppendQuoted(std::string* out, const char* text) {
 
 }  // namespace
 
-TraceRecorder::TraceRecorder(std::size_t capacity_per_thread)
-    : uid_(g_next_recorder_uid.fetch_add(1, std::memory_order_relaxed)),
-      capacity_per_thread_(std::max<std::size_t>(1, capacity_per_thread)),
-      origin_ns_(SteadyNowNs()) {}
-
-TraceRecorder::~TraceRecorder() = default;
+TraceRecorder::TraceRecorder(std::size_t capacity_per_stripe)
+    : capacity_(std::max<std::size_t>(1, capacity_per_stripe)), origin_ns_(SteadyNowNs()) {}
 
 std::uint64_t TraceRecorder::NowUs() const {
   return (SteadyNowNs() - origin_ns_) / 1000;
 }
 
-TraceRecorder::Slab* TraceRecorder::LocalSlab() const {
-  static thread_local std::vector<std::pair<std::uint64_t, Slab*>> cache;
-  for (const auto& [uid, slab] : cache) {
-    if (uid == uid_) return slab;
-  }
-  auto owned = std::make_unique<Slab>();
-  Slab* slab = owned.get();
-  slab->ring.resize(capacity_per_thread_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    slab->tid = static_cast<std::uint32_t>(slabs_.size());
-    slabs_.push_back(std::move(owned));
-  }
-  cache.emplace_back(uid_, slab);
-  return slab;
-}
-
 void TraceRecorder::Record(const char* name, const char* category, int shard,
                            std::uint64_t start_us, std::uint64_t end_us) {
-  Slab* slab = LocalSlab();
-  std::lock_guard<std::mutex> lock(slab->mu);
-  Span& span = slab->ring[slab->next];
-  span.name = name;
-  span.category = category;
-  span.shard = shard;
-  span.start_us = start_us;
-  span.dur_us = end_us >= start_us ? end_us - start_us : 0;
-  slab->next = (slab->next + 1) % capacity_per_thread_;
-  ++slab->total;
+  const std::uint64_t dur_us = end_us >= start_us ? end_us - start_us : 0;
+  rings_.Update([&](Ring& ring) {
+    if (ring.spans.empty()) ring.spans.resize(capacity_);
+    ring.spans[ring.next] = Span{name, category, shard, start_us, dur_us};
+    ring.next = (ring.next + 1) % capacity_;
+    ++ring.total;
+  });
 }
 
 std::uint64_t TraceRecorder::recorded() const {
   std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& slab : slabs_) {
-    std::lock_guard<std::mutex> slab_lock(slab->mu);
-    total += slab->total;
-  }
+  rings_.ForEach([&](const Ring& ring) { total += ring.total; });
   return total;
 }
 
 std::uint64_t TraceRecorder::dropped() const {
   std::uint64_t overwritten = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& slab : slabs_) {
-    std::lock_guard<std::mutex> slab_lock(slab->mu);
-    if (slab->total > capacity_per_thread_) {
-      overwritten += slab->total - capacity_per_thread_;
-    }
-  }
+  rings_.ForEach([&](const Ring& ring) {
+    if (ring.total > capacity_) overwritten += ring.total - capacity_;
+  });
   return overwritten;
 }
 
@@ -98,21 +63,18 @@ std::string TraceRecorder::ToChromeTraceJson() const {
     std::uint32_t tid;
   };
   std::vector<Exported> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& slab : slabs_) {
-      std::lock_guard<std::mutex> slab_lock(slab->mu);
-      const std::size_t kept = static_cast<std::size_t>(
-          std::min<std::uint64_t>(slab->total, capacity_per_thread_));
-      // The ring's oldest surviving span sits at `next` once it has wrapped.
-      const std::size_t oldest =
-          slab->total > capacity_per_thread_ ? slab->next : 0;
-      for (std::size_t i = 0; i < kept; ++i) {
-        events.push_back(
-            {slab->ring[(oldest + i) % capacity_per_thread_], slab->tid});
-      }
+  std::uint32_t tid = 0;
+  rings_.ForEach([&](const Ring& ring) {
+    if (ring.total == 0) return;
+    const std::size_t kept =
+        static_cast<std::size_t>(std::min<std::uint64_t>(ring.total, capacity_));
+    // The ring's oldest surviving span sits at `next` once it has wrapped.
+    const std::size_t oldest = ring.total > capacity_ ? ring.next : 0;
+    for (std::size_t i = 0; i < kept; ++i) {
+      events.push_back({ring.spans[(oldest + i) % capacity_], tid});
     }
-  }
+    ++tid;
+  });
   std::sort(events.begin(), events.end(),
             [](const Exported& a, const Exported& b) {
               return a.span.start_us < b.span.start_us;

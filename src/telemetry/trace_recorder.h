@@ -3,27 +3,29 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "common/striped.h"
 
 namespace liod {
 
 /// Bounded ring buffer of timed spans, exportable as Chrome trace-event JSON
 /// (chrome://tracing and https://ui.perfetto.dev both load it directly).
 ///
-/// Each thread records into its own fixed-capacity ring under an uncontended
-/// mutex, so tracing never serializes the hot path and memory stays bounded
-/// on arbitrarily long runs: once a ring is full the oldest spans are
-/// overwritten (dropped() reports how many). Span names and categories must
-/// be string literals (or otherwise outlive the recorder) -- the ring stores
-/// the pointers, not copies, to keep Record() allocation-free.
+/// Spans go into kStripes fixed-capacity rings (common/striped.h), each
+/// thread into its stripe's ring under that stripe's mutex, so threads rarely
+/// share a lock and memory is bounded by the stripe count however many
+/// threads ever record: a ring is allocated on its stripe's first record,
+/// and once full it overwrites its oldest spans (dropped() reports how
+/// many). Span names and categories must be string literals (or otherwise
+/// outlive the recorder) -- the ring stores the pointers, not copies, to
+/// keep Record() allocation-free after a ring's first span.
 class TraceRecorder {
  public:
-  explicit TraceRecorder(std::size_t capacity_per_thread = 8192);
-  ~TraceRecorder();
+  static constexpr std::size_t kStripes = 16;
+
+  explicit TraceRecorder(std::size_t capacity_per_stripe = 8192);
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -38,8 +40,9 @@ class TraceRecorder {
   std::uint64_t dropped() const;   ///< spans overwritten by ring wraparound
 
   /// `{"traceEvents":[...],"displayTimeUnit":"ms"}` with complete ("ph":"X")
-  /// events sorted by start time; tid is the recording thread's arrival
-  /// order, shard-scoped spans carry {"args":{"shard":N}}.
+  /// events sorted by start time; tid numbers the stripes that hold spans
+  /// 0, 1, ... (threads that share a stripe share a track), and shard-scoped
+  /// spans carry {"args":{"shard":N}}.
   std::string ToChromeTraceJson() const;
 
   /// RAII span: times construction-to-destruction and records on exit.
@@ -79,22 +82,15 @@ class TraceRecorder {
     std::uint64_t dur_us;
   };
 
-  struct Slab {
-    std::mutex mu;
-    std::vector<Span> ring;
-    std::size_t next = 0;        ///< ring[next % capacity] is written next
-    std::uint64_t total = 0;     ///< spans ever recorded into this slab
-    std::uint32_t tid = 0;       ///< stable per-thread id for the export
+  struct Ring {
+    std::vector<Span> spans;  ///< capacity_ slots, allocated on first record
+    std::size_t next = 0;     ///< spans[next] is written next
+    std::uint64_t total = 0;  ///< spans ever recorded into this ring
   };
 
-  Slab* LocalSlab() const;
-
-  const std::uint64_t uid_;  ///< never reused; keys the thread-local cache
-  const std::size_t capacity_per_thread_;
+  const std::size_t capacity_;
   const std::uint64_t origin_ns_;
-
-  mutable std::mutex mu_;
-  mutable std::vector<std::unique_ptr<Slab>> slabs_;
+  Striped<Ring, kStripes> rings_;
 };
 
 }  // namespace liod

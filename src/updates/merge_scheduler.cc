@@ -5,7 +5,7 @@
 namespace liod {
 
 MergeScheduler::MergeScheduler(DrainFn drain)
-    : drain_(std::move(drain)), worker_([this] { WorkerLoop(); }) {}
+    : drain_(std::move(drain)), worker_([this] { DrainLoop(); }) {}
 
 MergeScheduler::~MergeScheduler() {
   {
@@ -40,7 +40,7 @@ std::uint64_t MergeScheduler::merges_completed() const {
   return merges_completed_;
 }
 
-void MergeScheduler::WorkerLoop() {
+void MergeScheduler::DrainLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     wake_.wait(lock, [this] { return pending_ || stop_; });

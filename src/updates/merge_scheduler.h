@@ -51,7 +51,7 @@ class MergeScheduler {
   std::uint64_t merges_completed() const;
 
  private:
-  void WorkerLoop();
+  void DrainLoop();
 
   DrainFn drain_;
   mutable std::mutex mu_;

@@ -361,16 +361,6 @@ TEST(EngineHeatTest, HeatIsOffWithoutAMetricRegistry) {
   EXPECT_TRUE(engine.HeatSnapshots().empty());
 }
 
-TEST(EngineHeatTest, HeatIsOffWhenTopKIsZeroEvenWithMetrics) {
-  MetricRegistry registry;
-  EngineOptions options = HeatEngineOptions(&registry);
-  options.heat_top_k = 0;
-  ShardedEngine engine(options);
-  ASSERT_TRUE(engine.Bulkload(ToRecords(UniformKeys(200, 7))).ok());
-  EXPECT_FALSE(engine.heat_enabled());
-  EXPECT_EQ(registry.Snapshot().gauges.count("shard0.heat.ops_per_s"), 0u);
-}
-
 TEST(EngineHeatTest, InjectedHotKeySurfacesInTopKAndGauges) {
   MetricRegistry registry;
   {

@@ -1,10 +1,11 @@
 // The socket front-end (src/server/): protocol round trips, port and
 // endpoint validation, the malformed-frame fuzz contract (error response or
-// clean close -- never a crash), admission-control shedding (kOverloaded,
-// not a hang), one-request frames run in order on the reader (never shed),
-// connection release, one count per event across counters(), the stats op
-// and the registry, the shutdown-drain contract (queued batches answered
-// kShuttingDown, never silently dropped -- a TSan target), and the
+// clean close -- never a crash), admission-control shedding of multi-request
+// frames (kOverloaded, not a hang), every connection's frames answered in
+// send order on its reader (one-request frames never shed), connection
+// release, one count per event across counters(), the stats op and the
+// registry, the shutdown-drain contract (frames read after the drain began
+// answered kShuttingDown, never silently dropped -- a TSan target), and the
 // end-to-end serve/shutdown/recover cycle answering the committed history
 // bit-equal.
 
@@ -243,8 +244,7 @@ TEST(ProtocolStatsTest, StatsResponseRoundTripsAndRejectsCorruption) {
 /// Engine + server on a unix socket, torn down in order.
 struct ServerHarness {
   explicit ServerHarness(const std::string& name, std::size_t shards = 2,
-                         std::size_t workers = 2, std::size_t queue = 16,
-                         EngineOptions engine_options_in = {})
+                         std::size_t queue = 16, EngineOptions engine_options_in = {})
       : path(TestSocketPath(name)) {
     EngineOptions engine_options = std::move(engine_options_in);
     engine_options.index_name = "btree";
@@ -254,7 +254,6 @@ struct ServerHarness {
     EXPECT_TRUE(engine->Bulkload(records).ok());
     server::ServerOptions options;
     options.unix_path = path;
-    options.workers = workers;
     options.queue_capacity = queue;
     server = std::make_unique<server::KvServer>(engine.get(), options);
     EXPECT_TRUE(server->Start().ok());
@@ -524,15 +523,15 @@ TEST(KvServerTest, AcceptKeepsServingAfterDescriptorExhaustion) {
 }
 
 TEST(KvServerTest, PipelinedFramesRematchByTag) {
-  // Queue deeper than the in-flight window: this test is about tag
-  // re-matching, so nothing may be shed even when workers run slowly
+  // Admission bound wider than the in-flight window: this test is about tag
+  // re-matching, so nothing may be shed even when the server runs slowly
   // (e.g. under TSan).
-  ServerHarness harness("pipeline", /*shards=*/2, /*workers=*/4, /*queue=*/64);
+  ServerHarness harness("pipeline", /*shards=*/2, /*queue=*/64);
   server::KvClient client;
   ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
 
-  // Fire 32 tagged frames without waiting, then collect 32 responses in
-  // whatever order the workers finished them.
+  // Fire 32 tagged frames without waiting, then collect 32 responses and
+  // match each to its request by tag alone.
   constexpr std::uint32_t kFrames = 32;
   for (std::uint32_t t = 1; t <= kFrames; ++t) {
     std::vector<kv::Request> requests = {
@@ -665,57 +664,129 @@ TEST(KvServerFuzzTest, TruncatedPrefixAndRandomGarbageNeverKillTheServer) {
 
 // --- admission control ------------------------------------------------------
 
-TEST(KvServerTest, FloodShedsWithOverloadedNotAHang) {
-  // One worker, queue bound 1: pipelined expensive frames MUST overflow the
-  // queue, and the overflow answer is an immediate all-ops kOverloaded frame
-  // written by the reader -- the client never blocks waiting for admission.
-  ServerHarness harness("overload", /*shards=*/1, /*workers=*/1, /*queue=*/1);
+TEST(KvServerTest, ZeroBoundShedsEveryBatchAndNoSingleRequest) {
+  // queue_capacity 0 admits no multi-request frame: each is answered at once
+  // with an all-ops kOverloaded frame written by its reader, never executed.
+  // A one-request frame takes no slot, so every one of them executes.
+  ServerHarness harness("zero_bound", /*shards=*/1, /*queue=*/0);
   server::KvClient client;
   ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
 
-  constexpr std::uint32_t kFrames = 64;
-  std::vector<kv::Request> expensive;
-  for (int i = 0; i < 16; ++i) {
-    expensive.push_back({kv::OpKind::kScan, harness.records[0].key, 0, 1024});
+  const std::vector<kv::Request> single = {{kv::OpKind::kLookup, harness.records[0].key, 0, 0}};
+  std::vector<kv::Request> batch;
+  for (std::size_t i = 0; i < 4; ++i) {
+    batch.push_back({kv::OpKind::kInsert, harness.records[i].key, 7, 0});
+  }
+  constexpr std::uint64_t kRounds = 10;
+  std::vector<kv::Response> responses;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(client.Call(batch, &responses).ok());
+    ASSERT_EQ(responses.size(), batch.size());
+    for (const kv::Response& r : responses) EXPECT_EQ(r.code, Status::Code::kOverloaded);
+    ASSERT_TRUE(client.Call(single, &responses).ok());
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].code, Status::Code::kOk);
+    // The shed inserts never reached the engine.
+    EXPECT_EQ(responses[0].payload, harness.records[0].payload);
+  }
+  const server::ServerCounters counters = harness.server->counters();
+  EXPECT_EQ(counters.batches_overloaded, kRounds);
+  EXPECT_EQ(counters.batches_executed, kRounds);
+  EXPECT_EQ(counters.ops_executed, kRounds);
+}
+
+TEST(KvServerTest, BatchesBeyondTheBoundAreShedNotHung) {
+  // More connections than the bound pump expensive multi-request frames at
+  // once, each keeping up to 4 in flight. Every frame is answered exactly
+  // once, executed or all-ops kOverloaded -- a shed frame is answered at
+  // once, so no client waits for a slot -- and the server's counters match
+  // the clients' tallies. How many are shed depends on timing, so no
+  // minimum is asserted.
+  ServerHarness harness("bound", /*shards=*/1, /*queue=*/2);
+  constexpr std::size_t kClients = 8;
+  constexpr std::uint32_t kFrames = 32;
+  constexpr std::uint32_t kWindow = 4;
+  std::atomic<std::uint64_t> executed{0}, overloaded{0};
+  RacingThreads clients;
+  clients.StartN(kClients, [&](std::size_t, const std::atomic<bool>&) -> Status {
+    server::KvClient client;
+    LIOD_RETURN_IF_ERROR(client.ConnectUnix(harness.path));
+    const std::vector<kv::Request> expensive(
+        8, kv::Request{kv::OpKind::kScan, harness.records[0].key, 0, 256});
+    std::set<std::uint32_t> seen;
+    std::uint32_t sent = 0;
+    while (seen.size() < kFrames) {
+      while (sent < kFrames && sent - seen.size() < kWindow) {
+        LIOD_RETURN_IF_ERROR(client.Send(++sent, expensive));
+      }
+      std::uint32_t tag = 0;
+      std::vector<kv::Response> responses;
+      LIOD_RETURN_IF_ERROR(client.Receive(&tag, &responses));
+      if (tag < 1 || tag > sent || !seen.insert(tag).second) {
+        return Status::Corruption("unexpected or repeated tag " + std::to_string(tag));
+      }
+      if (responses.size() != expensive.size()) return Status::Corruption("op count mismatch");
+      const Status::Code code = responses[0].code;
+      for (const kv::Response& r : responses) {
+        if (r.code != code) return Status::Corruption("mixed codes in one frame");
+      }
+      if (code == Status::Code::kOverloaded) {
+        ++overloaded;
+      } else if (code == Status::Code::kOk) {
+        ++executed;
+      } else {
+        return Status(code, "unexpected frame outcome");
+      }
+    }
+    return Status::Ok();
+  });
+  ASSERT_TRUE(clients.JoinAll().ok());
+
+  EXPECT_EQ(executed.load() + overloaded.load(), kClients * kFrames);
+  const server::ServerCounters counters = harness.server->counters();
+  EXPECT_EQ(counters.batches_overloaded, overloaded.load());
+  EXPECT_EQ(counters.batches_executed, executed.load());
+}
+
+TEST(KvServerTest, PipelinedBatchesAnswerInSendOrder) {
+  // A connection has at most one frame in execution, so pipelined
+  // multi-request frames come back in the order they were sent, and one
+  // connection never holds more than one admission slot: a bound of 1 sheds
+  // none of them.
+  ServerHarness harness("batch_order", /*shards=*/2, /*queue=*/1);
+  server::KvClient client;
+  ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
+
+  constexpr std::uint32_t kFrames = 32;
+  constexpr std::size_t kOps = 4;
+  for (std::uint32_t t = 1; t <= kFrames; ++t) {
+    std::vector<kv::Request> requests;
+    for (std::size_t i = 0; i < kOps; ++i) {
+      requests.push_back({kv::OpKind::kLookup, harness.records[t * kOps + i].key, 0, 0});
+    }
+    ASSERT_TRUE(client.Send(t, requests).ok());
   }
   for (std::uint32_t t = 1; t <= kFrames; ++t) {
-    ASSERT_TRUE(client.Send(t, expensive).ok());
-  }
-  std::size_t overloaded = 0, executed = 0;
-  std::set<std::uint32_t> seen;
-  for (std::uint32_t i = 0; i < kFrames; ++i) {
     std::uint32_t tag = 0;
     std::vector<kv::Response> responses;
     ASSERT_TRUE(client.Receive(&tag, &responses).ok());
-    EXPECT_TRUE(seen.insert(tag).second);
-    ASSERT_EQ(responses.size(), expensive.size());
-    if (responses[0].code == Status::Code::kOverloaded) {
-      // Shed frames are all-ops rejections.
-      for (const kv::Response& r : responses) {
-        EXPECT_EQ(r.code, Status::Code::kOverloaded);
-      }
-      ++overloaded;
-    } else {
-      EXPECT_EQ(responses[0].code, Status::Code::kOk);
-      ++executed;
+    EXPECT_EQ(tag, t) << "responses out of send order";
+    ASSERT_EQ(responses.size(), kOps);
+    for (std::size_t i = 0; i < kOps; ++i) {
+      EXPECT_EQ(responses[i].payload, harness.records[tag * kOps + i].payload);
     }
   }
-  // Every frame was answered exactly once; under a 1-deep queue the flood
-  // cannot have been absorbed without shedding.
-  EXPECT_EQ(seen.size(), kFrames);
-  EXPECT_GE(overloaded, 1u);
-  EXPECT_GE(executed, 1u);
   const server::ServerCounters counters = harness.server->counters();
-  EXPECT_EQ(counters.batches_overloaded, overloaded);
-  EXPECT_EQ(counters.batches_executed, executed);
+  EXPECT_EQ(counters.batches_executed, kFrames);
+  EXPECT_EQ(counters.batches_overloaded, 0u);
 }
 
 TEST(KvServerTest, OneRequestFloodRunsInOrderWithoutShedding) {
-  // The same 1-worker, 1-deep-queue server as above, flooded with expensive
+  // A server with an admission bound of 1, flooded with expensive
   // ONE-request frames: those run on the connection's reader, one at a time
-  // and in arrival order, so none reaches the queue and none is shed -- the
+  // and in arrival order, take no admission slot and are never shed -- the
   // socket's backpressure paces the client instead.
-  ServerHarness harness("reader_flood", /*shards=*/1, /*workers=*/1, /*queue=*/1);
+  ServerHarness harness("reader_flood", /*shards=*/1, /*queue=*/1);
   server::KvClient client;
   ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
 
@@ -793,8 +864,10 @@ TEST(KvServerStatsTest, StatsOpReconcilesWithInProcessCounters) {
   EXPECT_NE(json.find("\"shards\":["), std::string::npos);
   EXPECT_NE(json.find("\"heat\":{"), std::string::npos);
   EXPECT_NE(json.find("\"top_keys\":["), std::string::npos);
-  // The queue-depth gauge is live while serving.
-  EXPECT_EQ(registry.Snapshot().gauges.count("server.queue_depth"), 1u);
+  // The admission bound is reported; nothing waits in a queue, so there is
+  // no queue depth to report.
+  EXPECT_EQ(JsonUint(json, "queue_capacity"), server_options.queue_capacity);
+  EXPECT_EQ(json.find("\"queue_depth\""), std::string::npos);
 
   // The admin op does not desync the data plane: the same connection keeps
   // serving ordinary calls, and a second stats call answers too.
@@ -804,15 +877,14 @@ TEST(KvServerStatsTest, StatsOpReconcilesWithInProcessCounters) {
   EXPECT_EQ(JsonUint(json, "stats_requests"), 2u);
 
   ASSERT_TRUE(server.Shutdown().ok());
-  // Shutdown unregisters the gauge: no dangling callback into the server.
-  EXPECT_EQ(registry.Snapshot().gauges.count("server.queue_depth"), 0u);
   ::unlink(path.c_str());
 }
 
 TEST(KvServerStatsTest, FailedStartLeavesNoGaugeBehind) {
-  // The queue-depth gauge calls into the server, so a Start that fails to
-  // bind must not leave it in the caller's registry: Shutdown of a server
-  // that never started has nothing to unregister it with.
+  // A gauge would call back into the server, and Shutdown of a server that
+  // never started has nothing to unregister it with. The server registers
+  // only counters and histograms, so a Start that fails to bind leaves the
+  // caller's registry without a single gauge.
   MetricRegistry registry;
   const auto records = ToRecords(UniformKeys(500, 53));
   ShardedEngine engine(ServerEngineOptions(1));
@@ -823,7 +895,9 @@ TEST(KvServerStatsTest, FailedStartLeavesNoGaugeBehind) {
   server::KvServer server(&engine, options);
   EXPECT_FALSE(server.Start().ok());
   ASSERT_TRUE(server.Shutdown().ok());
-  EXPECT_EQ(registry.Snapshot().gauges.count("server.queue_depth"), 0u);
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_EQ(snap.counters.count("server.ops"), 1u);
 }
 
 TEST(KvServerStatsTest, StatsOpAnswersWithoutARegistry) {
@@ -917,11 +991,11 @@ TEST(KvServerStatsTest, SlowOpFloodBoundsTheRingAndCountsDrops) {
   ::unlink(path.c_str());
 }
 
-TEST(KvServerStatsTest, ReaderAndWorkerFramesRecordOneSampleEach) {
-  // One-request frames execute on the reader, multi-request frames on a
-  // worker. Every executed frame records exactly one queue-wait and one
-  // execute sample either way, so the registry, ServerCounters and the
-  // stats op tell one story.
+TEST(KvServerStatsTest, FramesOfEverySizeRecordOneSampleEach) {
+  // One-request frames take no admission slot, multi-request frames take
+  // one. Every executed frame records exactly one queue-wait and one execute
+  // sample either way, so the registry, ServerCounters and the stats op tell
+  // one story.
   MetricRegistry registry;
   EngineOptions engine_options = ServerEngineOptions(2);
   const auto records = ToRecords(UniformKeys(2000, 47));
@@ -1004,7 +1078,7 @@ TEST(KvServerStatsTest, EverySinkCountsTheSameFrames) {
       batch.AddLookup(records[i].key);
       ASSERT_TRUE(client.Call(batch.requests, &responses).ok());
     }
-    for (int i = 0; i < 4; ++i) {  // 3-op frames: run on a worker
+    for (int i = 0; i < 4; ++i) {  // 3-op frames: take an admission slot
       kv::RequestBatch batch;
       for (int op = 0; op < 3; ++op) batch.AddLookup(records[10 + 3 * i + op].key);
       ASSERT_TRUE(client.Call(batch.requests, &responses).ok());
@@ -1075,18 +1149,70 @@ TEST(KvServerStatsTest, EverySinkCountsTheSameFrames) {
 
 // --- shutdown drain (TSan target) -------------------------------------------
 
+TEST(KvServerTest, FrameReadAfterTheDrainBeganIsNotExecuted) {
+  // The reader is held writing frame 1's ~1 MB response, far more than the
+  // socket buffers, because the client does not read yet; frame 2 waits in
+  // the socket. Shutdown begins, and only then does the client read. Frame
+  // 1 was executed; frame 2 is read after the drain began, so it is answered
+  // kShuttingDown and never executed (that would move committed state past
+  // the checkpoint decision); then the connection ends.
+  ServerHarness harness("drain_read", /*shards=*/1);
+  server::KvClient client;
+  ASSERT_TRUE(client.ConnectUnix(harness.path).ok());
+  const std::vector<kv::Request> big(
+      32, kv::Request{kv::OpKind::kScan, harness.records[0].key, 0, 2048});
+  const std::vector<kv::Request> insert = {{kv::OpKind::kInsert, harness.records[1].key, 7, 0}};
+  ASSERT_TRUE(client.Send(1, big).ok());
+  ASSERT_TRUE(client.Send(2, insert).ok());
+  // Frame 1 has executed once its ops are counted; its response is written
+  // after that.
+  while (harness.server->counters().ops_executed < big.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Status down;
+  std::thread shutdown([&] { down = harness.server->Shutdown(); });
+  // The drain has begun once the listener refuses connections.
+  for (int fd = -1; server::ConnectUnix(harness.path, &fd).ok(); fd = -1) {
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::uint32_t tag = 0;
+  std::vector<kv::Response> responses;
+  ASSERT_TRUE(client.Receive(&tag, &responses).ok());
+  EXPECT_EQ(tag, 1u);
+  ASSERT_EQ(responses.size(), big.size());
+  EXPECT_EQ(responses[0].code, Status::Code::kOk);
+  EXPECT_EQ(responses[0].records.size(), harness.records.size());
+  ASSERT_TRUE(client.Receive(&tag, &responses).ok());
+  EXPECT_EQ(tag, 2u);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].code, Status::Code::kShuttingDown);
+  EXPECT_EQ(client.Receive(&tag, &responses).code(), Status::Code::kNotFound);  // EOF
+  shutdown.join();
+  ASSERT_TRUE(down.ok());
+
+  const server::ServerCounters counters = harness.server->counters();
+  EXPECT_EQ(counters.batches_executed, 1u);
+  EXPECT_EQ(counters.batches_shutdown_rejected, 1u);
+  Payload payload = 0;
+  bool found = false;
+  ASSERT_TRUE(harness.engine->Lookup(harness.records[1].key, &payload, &found).ok());
+  EXPECT_EQ(payload, harness.records[1].payload);
+}
+
 TEST(KvServerStressTest, ShutdownDrainAnswersEveryAcceptedFrame) {
   // M clients pipeline batches while the main thread shuts the server down
   // mid-flight. The contract under race: every frame the server accepted is
   // answered -- executed, kOverloaded, or kShuttingDown -- before its
   // connection sees EOF; nothing hangs; nothing is silently dropped. Client
   // threads tally what they saw and the tallies must reconcile with the
-  // server's counters exactly. Runs with 4-op frames (admission queue and
-  // workers) and with one-request frames (executed by the readers).
+  // server's counters exactly. Runs with 4-op frames (each holding an
+  // admission slot) and with one-request frames (taking none).
   for (const std::size_t ops_per_frame : {4, 1}) {
     SCOPED_TRACE("ops per frame: " + std::to_string(ops_per_frame));
     ServerHarness harness("drain" + std::to_string(ops_per_frame), /*shards=*/2,
-                          /*workers=*/2, /*queue=*/8);
+                          /*queue=*/8);
 
     std::atomic<std::uint64_t> executed{0}, shutdown_rejected{0}, overloaded{0};
     constexpr std::size_t kClients = 4;
@@ -1176,7 +1302,6 @@ TEST(KvServerRecoveryTest, CommittedHistorySurvivesRestart) {
   const std::string path = TestSocketPath("recover");
   server::ServerOptions server_options;
   server_options.unix_path = path;
-  server_options.workers = 3;
   server::KvServer server(&engine, server_options);
   ASSERT_TRUE(server.Start().ok());
 

@@ -16,10 +16,12 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -376,6 +378,29 @@ TEST(TelemetryTraceTest, ThreadsRecordIntoDistinctTids) {
   const std::string json = recorder.ToChromeTraceJson();
   EXPECT_NE(json.find("\"tid\":0"), std::string::npos);
   EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
+}
+
+TEST(TelemetryTraceTest, ShortLivedThreadsShareTheFixedStripes) {
+  // A traced server records from one reader thread per connection. Rings
+  // belong to the recorder's fixed stripes, not to threads, so a thousand
+  // short-lived threads keep every span and add no ring beyond kStripes.
+  TraceRecorder recorder;
+  constexpr std::uint64_t kThreads = 1000;
+  for (std::uint64_t i = 0; i < kThreads; ++i) {
+    std::thread([&recorder] { TraceRecorder::Scope span(&recorder, "conn", "net"); }).join();
+  }
+  EXPECT_EQ(recorder.recorded(), kThreads);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  const std::string json = recorder.ToChromeTraceJson();
+  EXPECT_EQ(CountOccurrences(json, "\"ph\":\"X\""), kThreads);
+  std::set<std::uint64_t> tids;
+  const std::string needle = "\"tid\":";
+  for (std::size_t pos = json.find(needle); pos != std::string::npos;
+       pos = json.find(needle, pos + needle.size())) {
+    tids.insert(std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10));
+  }
+  EXPECT_GE(tids.size(), 1u);
+  EXPECT_LE(tids.size(), TraceRecorder::kStripes);
 }
 
 // --- sampler ----------------------------------------------------------------

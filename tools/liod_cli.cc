@@ -62,15 +62,19 @@
 // ShardedEngine with the same engine flags as run, then serves the binary KV
 // protocol (src/server/protocol.h) until SIGINT/SIGTERM:
 //
-//   liod_cli serve --listen unix:/tmp/liod.sock|tcp:[HOST:]PORT [--workers N]
-//            [--queue N] [--wal-dir DIR] [--recover] [engine flags]
+//   liod_cli serve --listen unix:/tmp/liod.sock|tcp:[HOST:]PORT [--queue N]
+//            [--wal-dir DIR] [--recover] [engine flags]
+//
+// Each connection's frames run on its own reader thread, one at a time;
+// --queue bounds the multi-request frames executing at once across all
+// connections (beyond it they are answered OVERLOADED).
 //
 // --wal-dir gives the per-shard WAL/checkpoint files stable paths
 // (DIR/shard<i>.wal, DIR/shard<i>.ckpt) so a restarted `serve --recover`
 // reopens them and rebuilds the committed state before listening; without it
-// durability is priced but not restart-recoverable. Shutdown drains the
-// admission queue (queued batches answered SHUTTING_DOWN) and checkpoints
-// through the engine before exiting.
+// durability is priced but not restart-recoverable. Shutdown answers frames
+// read after it began SHUTTING_DOWN, lets each reader finish the frame in
+// hand, and checkpoints through the engine before exiting.
 //
 // Live observability of a running serve (DESIGN.md "Live observability"):
 // --metrics-listen starts an HTTP endpoint serving /metrics (Prometheus),
@@ -158,8 +162,7 @@ struct CliArgs {
 
   // --- serve-only ----------------------------------------------------------
   std::string listen;             ///< --listen unix:PATH | tcp:[HOST:]PORT
-  std::size_t server_workers = 4; ///< --workers: multi-request frame executors
-  std::size_t server_queue = 64;  ///< --queue: multi-request admission bound
+  std::size_t server_queue = 64;  ///< --queue: multi-request frames executing at once
   std::string wal_dir;            ///< --wal-dir: stable durable-file directory
   std::string metrics_listen;     ///< --metrics-listen unix:PATH | tcp:[HOST:]PORT
   double slow_op_us = 0.0;        ///< --slow-op-us: capture threshold (0 = off)
@@ -173,7 +176,7 @@ struct CliArgs {
 void Usage() {
   std::printf(
       "liod_cli run --index NAME --dataset NAME --workload TYPE [options]\n"
-      "liod_cli serve --listen unix:PATH|tcp:[HOST:]PORT [--workers N] [--queue N]\n"
+      "liod_cli serve --listen unix:PATH|tcp:[HOST:]PORT [--queue N]\n"
       "               [--wal-dir DIR] [--recover] [engine options]\n"
       "liod_cli recover [run options]   (run with the crash-recovery demo)\n"
       "liod_cli stats --connect unix:PATH|tcp:[HOST:]PORT [--watch N]\n\n"
@@ -203,7 +206,8 @@ void Usage() {
       "           --trace-out FILE (Chrome trace-event JSON; load in Perfetto)\n"
       "           --sample-out FILE --sample-every-ms N (periodic metrics CSV)\n"
       "           --progress (stderr heartbeat; --csv stdout stays clean)\n"
-      "serve:     --listen unix:PATH|tcp:[HOST:]PORT --workers N --queue N\n"
+      "serve:     --listen unix:PATH|tcp:[HOST:]PORT --queue N (multi-request\n"
+      "             frames executing at once; beyond it they are shed)\n"
       "           --wal-dir DIR (stable WAL/checkpoint files; enables restart\n"
       "             recovery) --recover (rebuild from --wal-dir before listening)\n"
       "           --metrics-listen unix:PATH|tcp:[HOST:]PORT (live HTTP endpoint:\n"
@@ -293,8 +297,6 @@ bool Parse(int argc, char** argv, int start, CliArgs* args) {
       ok = number(&args->sample_every_ms);
     } else if (a == "--listen") {
       args->listen = v;
-    } else if (a == "--workers") {
-      ok = number(&args->server_workers);
     } else if (a == "--queue") {
       ok = number(&args->server_queue);
     } else if (a == "--wal-dir") {
@@ -935,7 +937,6 @@ int ServeCommand(const CliArgs& args) {
     }
   }
 
-  server_options.workers = args.server_workers;
   server_options.queue_capacity = args.server_queue;
   server_options.metrics = telemetry.metrics.get();
   server_options.trace = telemetry.trace.get();
@@ -957,17 +958,14 @@ int ServeCommand(const CliArgs& args) {
   }
   if (!server_options.unix_path.empty()) {
     std::fprintf(stderr,
-                 "liod_cli serve: listening on unix:%s (workers=%zu, queue=%zu, "
-                 "%zu shards)\n",
-                 server_options.unix_path.c_str(), server_options.workers,
-                 server_options.queue_capacity, engine.num_shards());
+                 "liod_cli serve: listening on unix:%s (queue=%zu, %zu shards)\n",
+                 server_options.unix_path.c_str(), server_options.queue_capacity,
+                 engine.num_shards());
   }
   if (server_options.tcp_port >= 0) {
     std::fprintf(stderr,
-                 "liod_cli serve: listening on tcp:%d (workers=%zu, queue=%zu, "
-                 "%zu shards)\n",
-                 server.tcp_port(), server_options.workers, server_options.queue_capacity,
-                 engine.num_shards());
+                 "liod_cli serve: listening on tcp:%d (queue=%zu, %zu shards)\n",
+                 server.tcp_port(), server_options.queue_capacity, engine.num_shards());
   }
 
   // The live observability endpoint starts after the server so /stats.json
@@ -1073,11 +1071,9 @@ int StatsCommand(const CliArgs& args) {
     const double ops = FindJsonNumber(json, "ops_executed", nullptr);
     const double rate = (ops - prev_ops) / static_cast<double>(args.watch);
     prev_ops = ops;
-    std::printf("ops=%.0f (%.1f ops/s) queue=%.0f/%.0f queue_wait_p99=%.1fus "
+    std::printf("ops=%.0f (%.1f ops/s) queue_wait_p99=%.1fus "
                 "execute_p99=%.1fus overloaded=%.0f slow=%.0f (dropped %.0f)\n",
-                ops, rate, FindJsonNumber(json, "queue_depth", nullptr),
-                FindJsonNumber(json, "queue_capacity", nullptr),
-                FindJsonNumber(json, "queue_wait_p99_us", nullptr),
+                ops, rate, FindJsonNumber(json, "queue_wait_p99_us", nullptr),
                 FindJsonNumber(json, "execute_p99_us", nullptr),
                 FindJsonNumber(json, "batches_overloaded", nullptr),
                 FindJsonNumber(json, "recorded", nullptr),
