@@ -33,7 +33,7 @@ using namespace liod::bench;
 namespace {
 
 struct SweepPoint {
-  const char* durability;      // parsed via DurabilityPolicyFromName
+  DurabilityPolicy durability;
   std::size_t buffer_blocks;   // update-buffer staging budget
   std::size_t checkpoint_every;  // 0 = checkpoint at merges/flush only
 };
@@ -48,15 +48,15 @@ int main(int argc, char** argv) {
 
   const WorkloadType workloads[] = {WorkloadType::kYcsbA, WorkloadType::kYcsbF};
   const SweepPoint points[] = {
-      {"none", 64, 0},  // volatile baseline: durability priced at zero
-      {"async", 64, 0},
-      {"group-commit", 64, 0},
-      {"sync-per-op", 64, 0},
-      {"group-commit", 16, 0},
-      {"sync-per-op", 16, 0},
-      {"group-commit", 64, 512},  // checkpoint-cadence axis: replay shrinks
-      {"group-commit", 64, 2048},
-      {"group-commit", 64, 8192},
+      {DurabilityPolicy::kNone, 64, 0},  // volatile baseline: durability costs nothing
+      {DurabilityPolicy::kAsync, 64, 0},
+      {DurabilityPolicy::kGroupCommit, 64, 0},
+      {DurabilityPolicy::kSyncPerOp, 64, 0},
+      {DurabilityPolicy::kGroupCommit, 16, 0},
+      {DurabilityPolicy::kSyncPerOp, 16, 0},
+      {DurabilityPolicy::kGroupCommit, 64, 512},  // checkpoint cadence: replay shrinks
+      {DurabilityPolicy::kGroupCommit, 64, 2048},
+      {DurabilityPolicy::kGroupCommit, 64, 8192},
   };
   const DiskModel ssd = DiskModel::Ssd();
 
@@ -70,10 +70,7 @@ int main(int argc, char** argv) {
         for (const SweepPoint& point : points) {
           IndexOptions options = BenchOptions();
           options.update_buffer_blocks = point.buffer_blocks;
-          if (!DurabilityPolicyFromName(point.durability, &options.durability)) {
-            std::fprintf(stderr, "bad durability %s\n", point.durability);
-            return 2;
-          }
+          options.durability = point.durability;
           options.checkpoint_every_ops = point.checkpoint_every;
           // The store outlives the engine: its slot 0 is what recovery reads
           // after the simulated crash below.
@@ -150,7 +147,8 @@ int main(int argc, char** argv) {
               "%s,%s,%s,%s,%zu,%zu,ssd,%llu,%.1f,%.3f,%.3f,%llu,%llu,%llu,%llu,%.3f,"
               "%llu\n",
               index_name.c_str(), dataset.c_str(), WorkloadTypeName(type),
-              point.durability, point.buffer_blocks, point.checkpoint_every,
+              DurabilityPolicyName(point.durability), point.buffer_blocks,
+              point.checkpoint_every,
               static_cast<unsigned long long>(result.operations),
               result.ThroughputOps(ssd),
               static_cast<double>(result.io.TotalReads()) / ops,

@@ -5,25 +5,18 @@
 // forward-looking "production service" benchmark layered on the paper's
 // single-threaded indexes (see README "Concurrent engine").
 //
-//   scaling_threads [--dataset fb] [--bulk N] [--ops N] [--seed N]
-//                   [--threads 1,2,4,8] [--shards 1,4]
-//                   [--indexes btree,alex,pgm] [--workloads ycsb-a,ycsb-c]
-//                   [--zipf 0.99] [--csv FILE]
-//
-// Reads take each shard's latch shared and writes take it exclusive, so
-// threads may outnumber shards. --csv writes machine-readable rows
-// (bench_to_json.py schema: index, workload, ops, tput_ops_s, reads_per_op,
-// writes_per_op plus the sweep identity columns) so CI can gate the scaling
-// trajectory.
+// `scaling_threads --help` lists the flags. Reads take each shard's latch
+// shared and writes take it exclusive, so threads may outnumber shards. --csv
+// writes machine-readable rows (bench_to_json.py schema: index, workload,
+// ops, tput_ops_s, reads_per_op, writes_per_op plus the sweep identity
+// columns) so CI can gate the scaling trajectory.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/parse_number.h"
+#include "common/flags.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
 
@@ -41,67 +34,29 @@ struct ScalingArgs {
   std::vector<std::size_t> threads = {1, 2, 4, 8};
   std::vector<std::size_t> shards = {1, 4};
   std::vector<std::string> indexes = {"btree", "alex", "pgm"};
-  std::vector<std::string> workloads = {"ycsb-a", "ycsb-c"};
+  std::vector<WorkloadType> workloads = {WorkloadType::kYcsbA, WorkloadType::kYcsbC};
   std::string csv_path;  // empty: human table only
 };
-
-ScalingArgs ParseArgs(int argc, char** argv) {
-  ScalingArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto number = [&](const char* text, auto* out) {
-      if (!ParseFlagNumber(a.c_str(), text, out)) std::exit(2);
-    };
-    auto sizes = [&](std::vector<std::size_t>* out) {
-      out->clear();
-      for (const std::string& token : SplitList(next())) {
-        number(token.c_str(), &out->emplace_back());
-      }
-    };
-    if (a == "--dataset") {
-      args.dataset = next();
-    } else if (a == "--bulk") {
-      number(next(), &args.bulk);
-    } else if (a == "--ops") {
-      number(next(), &args.ops);
-    } else if (a == "--seed") {
-      number(next(), &args.seed);
-    } else if (a == "--zipf") {
-      number(next(), &args.zipf_theta);
-    } else if (a == "--threads") {
-      sizes(&args.threads);
-    } else if (a == "--shards") {
-      sizes(&args.shards);
-    } else if (a == "--indexes") {
-      args.indexes = SplitList(next());
-    } else if (a == "--workloads") {
-      args.workloads = SplitList(next());
-    } else if (a == "--csv") {
-      args.csv_path = next();
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "flags: --dataset NAME --bulk N --ops N --seed N --zipf THETA\n"
-          "       --threads a,b,c --shards a,b --indexes a,b --workloads a,b\n"
-          "       --csv FILE\n");
-      std::exit(0);
-    }
-    // Unknown flags are ignored so shared sweep scripts can pass through
-    // flags meant for the per-figure binaries.
-  }
-  return args;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ScalingArgs args = ParseArgs(argc, argv);
+  ScalingArgs args;
+  FlagTable flags;
+  flags.Choice("--dataset", &args.dataset, NamedChoices(AllDatasetNames()), "dataset")
+      .Number("--bulk", &args.bulk, "N", "bulkloaded keys")
+      .Number("--ops", &args.ops, "N", "measured operations per cell")
+      .Number("--seed", &args.seed, "N", "dataset and workload seed")
+      .Number("--zipf", &args.zipf_theta, "THETA", "Zipfian skew of YCSB key choice")
+      .List("--threads", &args.threads, "a,b,c", "client thread counts (default 1,2,4,8)")
+      .List("--shards", &args.shards, "a,b", "key-range shard counts (default 1,4)")
+      .List("--indexes", &args.indexes, "a,b", "indexes (default btree,alex,pgm)")
+      .ChoiceList("--workloads", &args.workloads,
+                  NamedChoices(EveryWorkloadType(), WorkloadTypeName),
+                  "workload mixes (default ycsb-a,ycsb-c)")
+      .String("--csv", &args.csv_path, "FILE", "also write the rows as CSV to FILE");
+  if (const std::optional<int> exit = flags.ParseMain(argc, argv)) return *exit;
+
   const DiskModel ssd = DiskModel::Ssd();
 
   std::FILE* csv = nullptr;
@@ -121,12 +76,8 @@ int main(int argc, char** argv) {
       "dataset=%s bulk=%zu ops=%zu zipf=%.2f\n\n",
       ssd.name.c_str(), args.dataset.c_str(), args.bulk, args.ops, args.zipf_theta);
 
-  for (const std::string& workload_name : args.workloads) {
-    WorkloadType type;
-    if (!WorkloadTypeFromName(workload_name, &type)) {
-      std::fprintf(stderr, "unknown workload '%s'\n", workload_name.c_str());
-      return 2;
-    }
+  for (const WorkloadType type : args.workloads) {
+    const char* workload_name = WorkloadTypeName(type);
     WorkloadSpec spec;
     spec.type = type;
     spec.bulk_keys = args.bulk;
@@ -151,7 +102,7 @@ int main(int argc, char** argv) {
     }
 
     for (const std::string& index_name : args.indexes) {
-      std::printf("== %s on %s ==\n", index_name.c_str(), workload_name.c_str());
+      std::printf("== %s on %s ==\n", index_name.c_str(), workload_name);
       std::printf("%8s %8s %14s %14s %10s %10s\n", "threads", "shards", "tput(ops/s)",
                   "speedup", "rd/op", "wr/op");
       // Speedup is relative to the sweep's first (threads, shards) cell.
@@ -171,7 +122,7 @@ int main(int argc, char** argv) {
               RunConcurrentWorkload(&engine, w, ConcurrentRunnerConfig{}, &result);
           if (!status.ok()) {
             std::fprintf(stderr, "FATAL %s/%s t=%zu s=%zu: %s\n", index_name.c_str(),
-                         workload_name.c_str(), threads, shards, status.ToString().c_str());
+                         workload_name, threads, shards, status.ToString().c_str());
             return 1;
           }
 
@@ -186,7 +137,7 @@ int main(int argc, char** argv) {
                       tput, speedup, reads_per_op, writes_per_op);
           if (csv != nullptr) {
             std::fprintf(csv, "%s,%s,%s,%zu,%zu,%llu,%.1f,%.3f,%.3f,%.3f\n", index_name.c_str(),
-                         workload_name.c_str(), args.dataset.c_str(), threads,
+                         workload_name, args.dataset.c_str(), threads,
                          engine.num_shards(), static_cast<unsigned long long>(result.operations),
                          tput, speedup, reads_per_op, writes_per_op);
           }

@@ -12,12 +12,7 @@
 // server's --queue bound send --batch > 1 frames at once, the excess is
 // answered OVERLOADED (the `overloaded` column).
 //
-//   server_loadgen --connect unix:/tmp/liod.sock|tcp:[HOST:]PORT
-//                  [--clients 1,2,4,8] [--ops N] [--batch N]
-//                  [--dataset fb] [--bulk N] [--seed N]
-//                  [--workload ycsb-c] [--zipf 0.99] [--scan-length N]
-//                  [--label NAME] [--connect-wait-ms N] [--csv]
-//                  [--server-stats]
+// `server_loadgen --help` lists the flags.
 //
 // --server-stats fetches the server's liod-stats/1 document (the wire stats
 // op) after the final measurement and prints it to STDERR -- stdout CSV stays
@@ -49,8 +44,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "common/parse_number.h"
+#include "common/flags.h"
 #include "server/kv_client.h"
 #include "server/net.h"
 #include "workload/datasets.h"
@@ -68,7 +62,7 @@ struct LoadgenArgs {
   std::string dataset = "fb";
   std::size_t bulk = 100'000;
   std::uint64_t seed = 42;
-  std::string workload = "ycsb-c";
+  WorkloadType workload = WorkloadType::kYcsbC;
   double zipf_theta = 0.99;
   std::size_t scan_length = 100;
   std::string label = "server";
@@ -77,79 +71,43 @@ struct LoadgenArgs {
   bool server_stats = false;  ///< --server-stats: post-run stats op to stderr
 };
 
-void Usage() {
-  std::fprintf(stderr,
-               "server_loadgen --connect unix:PATH|tcp:[HOST:]PORT [--clients 1,2,4,8]\n"
-               "               [--ops N] [--batch N] [--dataset NAME] [--bulk N]\n"
-               "               [--seed N] [--workload TYPE] [--zipf THETA]\n"
-               "               [--scan-length N] [--label NAME]\n"
-               "               [--connect-wait-ms N] [--csv] [--server-stats]\n");
-}
-
-bool Parse(int argc, char** argv, LoadgenArgs* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* v = nullptr;
-    if (a == "--help" || a == "-h") return false;
-    if (a == "--csv") {
-      args->csv = true;
-    } else if (a == "--server-stats") {
-      args->server_stats = true;
-    } else if ((v = next()) == nullptr) {
-      std::fprintf(stderr, "missing value for %s\n", a.c_str());
-      return false;
-    } else if (a == "--connect") {
-      if (const Status status = server::ParseEndpoint(v, &args->connect); !status.ok()) {
-        std::fprintf(stderr, "--connect: %s\n", status.message().c_str());
-        return false;
-      }
-    } else if (a == "--clients") {
-      args->clients.clear();
-      for (const std::string& tok : bench::SplitList(v)) {
-        std::uint64_t n = 0;
-        if (!ParseFlagNumber(a.c_str(), tok.c_str(), &n)) return false;
-        if (n == 0) {
-          std::fprintf(stderr, "--clients entries must be > 0 (got '%s')\n", tok.c_str());
-          return false;
-        }
-        args->clients.push_back(n);
-      }
-      if (args->clients.empty()) {
-        std::fprintf(stderr, "--clients needs at least one count\n");
-        return false;
-      }
-    } else if (a == "--ops") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->ops)) return false;
-    } else if (a == "--batch") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->batch)) return false;
-    } else if (a == "--dataset") {
-      args->dataset = v;
-    } else if (a == "--bulk") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->bulk)) return false;
-    } else if (a == "--seed") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->seed)) return false;
-    } else if (a == "--workload") {
-      args->workload = v;
-    } else if (a == "--zipf") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->zipf_theta)) return false;
-    } else if (a == "--scan-length") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->scan_length)) return false;
-    } else if (a == "--label") {
-      args->label = v;
-    } else if (a == "--connect-wait-ms") {
-      if (!ParseFlagNumber(a.c_str(), v, &args->connect_wait_ms)) return false;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-      return false;
-    }
-  }
+/// Parses the flags into `args`; the status to exit with on --help or a
+/// usage error.
+std::optional<int> Parse(int argc, char** argv, LoadgenArgs* args) {
+  std::string connect;
+  FlagTable flags;
+  flags.String("--connect", &connect, "unix:PATH|tcp:[HOST:]PORT", "the serve to drive (required)")
+      .List("--clients", &args->clients, "a,b,c", "client counts, one measurement each")
+      .Number("--ops", &args->ops, "N", "operations per measurement, split across clients")
+      .Number("--batch", &args->batch, "N", "operations per request frame")
+      .Choice("--dataset", &args->dataset, NamedChoices(AllDatasetNames()), "the serve's --dataset")
+      .Number("--bulk", &args->bulk, "N", "the serve's --bulk")
+      .Number("--seed", &args->seed, "N", "the serve's --seed")
+      .Choice("--workload", &args->workload, NamedChoices(EveryWorkloadType(), WorkloadTypeName),
+              "workload mix (default ycsb-c)")
+      .Number("--zipf", &args->zipf_theta, "THETA", "Zipfian skew of YCSB key choice")
+      .Number("--scan-length", &args->scan_length, "N", "records per scan")
+      .String("--label", &args->label, "NAME", "the CSV index column (default server)")
+      .Number("--connect-wait-ms", &args->connect_wait_ms, "N",
+              "connect retry budget while the server starts")
+      .Switch("--csv", &args->csv, "CSV rows")
+      .Switch("--server-stats", &args->server_stats,
+              "print the server's stats document to stderr after the last measurement");
+  if (const std::optional<int> exit = flags.ParseMain(argc, argv)) return exit;
   if (args->batch == 0) args->batch = 1;
-  if (args->connect.unix_path.empty() && args->connect.port < 0) {
-    std::fprintf(stderr, "--connect is required\n");
-    return false;
+  if (std::find(args->clients.begin(), args->clients.end(), 0) != args->clients.end()) {
+    std::fprintf(stderr, "--clients entries must be > 0\n");
+    return 2;
   }
-  return true;
+  if (connect.empty()) {
+    std::fprintf(stderr, "--connect is required\n");
+    return 2;
+  }
+  if (const Status status = server::ParseEndpoint(connect, &args->connect); !status.ok()) {
+    std::fprintf(stderr, "--connect: %s\n", status.message().c_str());
+    return 2;
+  }
+  return std::nullopt;
 }
 
 /// Connects with retries while the server finishes startup (the CI smoke job
@@ -237,20 +195,12 @@ double PercentileUs(std::vector<double>* sorted_us, double q) {
 
 int main(int argc, char** argv) {
   LoadgenArgs args;
-  if (!Parse(argc, argv, &args)) {
-    Usage();
-    return 2;
-  }
+  if (const std::optional<int> exit = Parse(argc, argv, &args)) return *exit;
 
-  WorkloadType type = WorkloadType::kLookupOnly;
-  if (!WorkloadTypeFromName(args.workload, &type)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", args.workload.c_str());
-    return 2;
-  }
   // Same dataset-sizing rule as liod_cli run: growing workloads need fresh
   // keys beyond the server's bulkload; the others replay over the loaded set.
   const std::size_t dataset_keys =
-      WorkloadGrowsDataset(type) ? args.bulk + args.ops : args.bulk;
+      WorkloadGrowsDataset(args.workload) ? args.bulk + args.ops : args.bulk;
   const auto keys = MakeDataset(args.dataset, dataset_keys, args.seed);
 
   if (args.csv) {
@@ -261,7 +211,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t clients : args.clients) {
     WorkloadSpec spec;
-    spec.type = type;
+    spec.type = args.workload;
     spec.bulk_keys = args.bulk;
     spec.operations = args.ops;
     spec.scan_length = args.scan_length;
@@ -307,7 +257,7 @@ int main(int argc, char** argv) {
 
     if (args.csv) {
       std::printf("%s,%s,%zu,%zu,%llu,%.2f,0.000,0.000,%.2f,%.2f,%.2f,%llu,%llu,%llu,%llu\n",
-                  args.label.c_str(), args.workload.c_str(), clients, args.batch,
+                  args.label.c_str(), WorkloadTypeName(args.workload), clients, args.batch,
                   static_cast<unsigned long long>(total.ops), tput, p50, p99, p999,
                   static_cast<unsigned long long>(total.not_found),
                   static_cast<unsigned long long>(total.overloaded),
@@ -318,7 +268,7 @@ int main(int argc, char** argv) {
           "%zu client(s) x batch %zu on %s: %llu ops in %.3f s = %.1f ops/s wall; "
           "round trip p50 %.1f us, p99 %.1f us, p999 %.1f us "
           "(%llu not-found, %llu overloaded, %llu shutdown-rejected, %llu errors)\n",
-          clients, args.batch, args.workload.c_str(),
+          clients, args.batch, WorkloadTypeName(args.workload),
           static_cast<unsigned long long>(total.ops), wall_s, tput, p50, p99, p999,
           static_cast<unsigned long long>(total.not_found),
           static_cast<unsigned long long>(total.overloaded),

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   if (args.indexes == StudiedIndexNames()) args.indexes = {"btree", "alex"};
   // --metrics-out/--trace-out/--sample-out: merge/WAL/op telemetry across the
   // whole sweep (counters accumulate over every configuration).
-  BenchTelemetry telemetry(args);
+  TelemetryOutputs telemetry(args.telemetry);
 
   const WorkloadType workloads[] = {WorkloadType::kYcsbA, WorkloadType::kYcsbD,
                                     WorkloadType::kYcsbF};
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
           spec.seed = args.seed + 5;
           ConcurrentRunnerConfig config;
           config.check_lookups = true;  // all configs must answer identically
-          config.before_ops = [&] { telemetry.EnsureSampler(); };
+          config.before_ops = [&] { telemetry.StartSampler(); };
           const ConcurrentRunResult result =
               MustRun(&engine, BuildConcurrentWorkload(keys, spec, 1), config);
 

@@ -8,10 +8,11 @@
 //
 // dataset: ycsb | fb | osm | covid | ... (default fb)
 // workload: lookup-only | scan-only | write-only | read-heavy | write-heavy
-//           | balanced (default balanced)
+//           | balanced | ycsb-a ... ycsb-f (default balanced)
+// An unknown name exits 2.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/index_factory.h"
@@ -24,9 +25,15 @@ int main(int argc, char** argv) {
   const std::string dataset = argc > 1 ? argv[1] : "fb";
   const std::string workload_name = argc > 2 ? argv[2] : "balanced";
 
+  const std::vector<std::string>& datasets = AllDatasetNames();
+  if (std::find(datasets.begin(), datasets.end(), dataset) == datasets.end()) {
+    std::fprintf(stderr, "unknown dataset '%s'\n", dataset.c_str());
+    return 2;
+  }
   WorkloadType type = WorkloadType::kBalanced;
-  for (WorkloadType t : AllWorkloadTypes()) {
-    if (workload_name == WorkloadTypeName(t)) type = t;
+  if (!WorkloadTypeFromName(workload_name, &type)) {
+    std::fprintf(stderr, "unknown workload '%s'\n", workload_name.c_str());
+    return 2;
   }
   std::printf("advising for dataset=%s workload=%s (HDD cost model)\n\n", dataset.c_str(),
               WorkloadTypeName(type));

@@ -8,8 +8,8 @@
 //   ./ingest_pipeline [rows]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/parse_number.h"
 #include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
 
@@ -18,7 +18,8 @@ using namespace liod;
 int main(int argc, char** argv) {
   // Default sized so the B+-tree is 3+ levels, the regime the paper studies;
   // at toy sizes (height-2 trees) the B+-tree wins even pure ingest.
-  const std::size_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 300'000;
+  std::size_t rows = 300'000;
+  if (argc > 1 && !ParseFlagNumber("rows", argv[1], &rows)) return 2;
   // Timestamp-like keys: bursty arrivals (the covid recipe).
   const auto keys = MakeDataset("covid", rows, 99);
   const DiskModel hdd = DiskModel::Hdd();

@@ -8,16 +8,18 @@
 //   ./range_analytics [rows] [scan_length]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/parse_number.h"
 #include "engine/concurrent_runner.h"
 #include "workload/datasets.h"
 
 using namespace liod;
 
 int main(int argc, char** argv) {
-  const std::size_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 150'000;
-  const std::size_t scan_len = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100;
+  std::size_t rows = 150'000;
+  std::size_t scan_len = 100;
+  if (argc > 1 && !ParseFlagNumber("rows", argv[1], &rows)) return 2;
+  if (argc > 2 && !ParseFlagNumber("scan_length", argv[2], &scan_len)) return 2;
   const auto keys = MakeDataset("osm", rows, 5);
   const DiskModel ssd = DiskModel::Ssd();
 

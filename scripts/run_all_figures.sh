@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Reproduces every paper figure/table at the default (scaled-down) sizes and
-# writes one .txt per binary to results/. Pass extra flags through, e.g.:
+# writes one .txt per binary to results/. Extra flags go to the 21 binaries
+# that share bench_common.h's flags (see any of them with --help), e.g.:
 #   scripts/run_all_figures.sh --search-keys 10000000
+# scaling_threads takes flags of its own, so it always runs the fixed small
+# sweep below and gets none of the extra flags.
 # Assumes the tree is built in build/ (cmake --preset release && cmake --build build -j).
 set -euo pipefail
 
@@ -35,9 +38,10 @@ for b in "${binaries[@]}"; do
   exe="$BUILD_DIR/bench/$b"
   echo "== $b =="
   extra=()
+  passed=("$@")
   if [[ "$b" == scaling_threads ]]; then
-    # Small default sweep; override by passing the binary's own flags.
     extra=(--threads 1,2,4 --shards 1,4 --bulk 60000 --ops 12000)
+    passed=()
   fi
   if [[ "$b" == buffer_policy_sweep ]]; then
     # Policy x budget x write-back on the two featured datasets.
@@ -51,7 +55,7 @@ for b in "${binaries[@]}"; do
     # Durability policy x budget x checkpoint cadence; fb carries the story.
     extra=(--datasets fb --write-bulk 60000 --write-ops 30000)
   fi
-  "$exe" "${extra[@]}" "$@" | tee "$OUT_DIR/$b.txt"
+  "$exe" "${extra[@]}" "${passed[@]}" | tee "$OUT_DIR/$b.txt"
   echo
 done
 

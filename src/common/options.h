@@ -31,20 +31,6 @@ inline const char* BufferPolicyName(BufferPolicy policy) {
   return "unknown";
 }
 
-/// Parses "lru" / "clock" / "fifo". Returns false on an unknown name.
-inline bool BufferPolicyFromName(const std::string& name, BufferPolicy* out) {
-  if (name == "lru") {
-    *out = BufferPolicy::kLru;
-  } else if (name == "clock") {
-    *out = BufferPolicy::kClock;
-  } else if (name == "fifo") {
-    *out = BufferPolicy::kFifo;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// Storage backend of every paged file (storage/device_factory.h). The
 /// modeled device backs all benchmarks: exact, deterministic counted I/O.
 /// The real devices issue actual syscalls so wall-clock columns can be
@@ -95,18 +81,6 @@ inline const char* MergeModeName(MergeMode mode) {
   return "unknown";
 }
 
-/// Parses "sync" / "background". Returns false on an unknown name.
-inline bool MergeModeFromName(const std::string& name, MergeMode* out) {
-  if (name == "sync") {
-    *out = MergeMode::kSync;
-  } else if (name == "background") {
-    *out = MergeMode::kBackground;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// The ShardedEngine's shard latch discipline, kept only because the
 /// repository benchmark (perfbench/) still assigns
 /// EngineOptions::shard_lock_mode. The engine has one rule (reads shared,
@@ -138,23 +112,6 @@ inline const char* DurabilityPolicyName(DurabilityPolicy policy) {
     case DurabilityPolicy::kSyncPerOp: return "sync-per-op";
   }
   return "unknown";
-}
-
-/// Parses "none" / "async" / "group-commit" / "sync-per-op". Returns false on
-/// an unknown name.
-inline bool DurabilityPolicyFromName(const std::string& name, DurabilityPolicy* out) {
-  if (name == "none") {
-    *out = DurabilityPolicy::kNone;
-  } else if (name == "async") {
-    *out = DurabilityPolicy::kAsync;
-  } else if (name == "group-commit") {
-    *out = DurabilityPolicy::kGroupCommit;
-  } else if (name == "sync-per-op") {
-    *out = DurabilityPolicy::kSyncPerOp;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 class BufferManager;     // storage/buffer_manager.h

@@ -39,10 +39,10 @@ struct HeatSnapshot {
 
 /// Online workload-heat tracker for one shard: SpaceSaving top-k hot keys
 /// plus EWMA read/write/scan mix and operation rate. This is the data feed
-/// for the ROADMAP's index-advisor follow-on -- "which keys are hot and what
-/// is the mix" is exactly what choosing an index per the paper's design-
-/// choices framing needs, and none of it is derivable from cumulative
-/// counters after the fact.
+/// for the index advisor on the ROADMAP's Deferred list -- "which keys are
+/// hot and what is the mix" is exactly what choosing an index per the
+/// paper's design-choices framing needs, and none of it is derivable from
+/// cumulative counters after the fact.
 ///
 /// SpaceSaving (Metwally et al.): k monitored counters; a hit increments its
 /// counter, a miss evicts the minimum counter and inherits its count as the

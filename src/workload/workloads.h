@@ -35,6 +35,12 @@ const char* WorkloadTypeName(WorkloadType type);
 const std::vector<WorkloadType>& AllWorkloadTypes();
 /// The six YCSB core mixes, A through F.
 const std::vector<WorkloadType>& YcsbWorkloadTypes();
+/// The paper's six types, then the YCSB mixes: every type that has a name.
+inline std::vector<WorkloadType> EveryWorkloadType() {
+  std::vector<WorkloadType> all = AllWorkloadTypes();
+  all.insert(all.end(), YcsbWorkloadTypes().begin(), YcsbWorkloadTypes().end());
+  return all;
+}
 /// Parses any workload name ("balanced", "ycsb-a", ...). Returns false on an
 /// unknown name.
 bool WorkloadTypeFromName(const std::string& name, WorkloadType* out);

@@ -7,20 +7,7 @@
 //
 // run/recover report throughput, exact block I/O, phase breakdown, tail
 // latency, and storage footprint -- the general-purpose driver behind the
-// per-figure benchmarks.
-//
-//   liod_cli run --index alex --dataset fb --workload balanced
-//            --bulk 100000 --ops 100000 [--block 4096] [--buffer 1]
-//            [--buffer-policy lru|clock|fifo] [--buffer-budget N]
-//            [--write-back] [--disk hdd|ssd|both] [--csv]
-//            [--inner-in-memory] [--scan-length 100] [--seed 42]
-//            [--threads 1] [--shards 1] [--zipf 0.99]
-//            [--update-buffer BLOCKS] [--merge-mode sync|background]
-//            [--merge-threshold F]
-//            [--durability none|async|group-commit|sync-per-op]
-//            [--group-window N] [--checkpoint-every N] [--recover]
-//            [--device modeled|file|direct] [--device-path DIR]
-//            [--device-no-batch]
+// per-figure benchmarks. `liod_cli COMMAND --help` lists a command's flags.
 //
 // --device selects the storage backend of every index file (and, with
 // --durability, the WAL/checkpoint files): "modeled" is the in-RAM simulated
@@ -32,8 +19,9 @@
 // block (the baseline that shows the batch path's syscall savings in
 // device.submissions).
 //
-// Numeric flags must parse completely ("abc" or "10k" exits 2 naming the
-// flag), and --block must be a power of two >= 512.
+// An unknown flag, a missing value, a number that does not parse completely
+// ("abc", "10k") and an unknown name exit 2 naming the flag, before any
+// dataset is built; so does a --block that is not a power of two >= 512.
 //
 // --buffer is the paper's per-file frame budget; --buffer-budget N > 0
 // switches to one shared pool of N frames across all files and all shards,
@@ -60,12 +48,8 @@
 //
 // `serve` bulkloads --dataset/--bulk records (payload = key + 1) into a
 // ShardedEngine with the same engine flags as run, then serves the binary KV
-// protocol (src/server/protocol.h) until SIGINT/SIGTERM:
-//
-//   liod_cli serve --listen unix:/tmp/liod.sock|tcp:[HOST:]PORT [--queue N]
-//            [--wal-dir DIR] [--recover] [engine flags]
-//
-// Each connection's frames run on its own reader thread, one at a time;
+// protocol (src/server/protocol.h) on --listen until SIGINT/SIGTERM. Each
+// connection's frames run on its own reader thread, one at a time;
 // --queue bounds the multi-request frames executing at once across all
 // connections (beyond it they are answered OVERLOADED).
 //
@@ -96,13 +80,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
-#include "common/parse_number.h"
+#include "common/flags.h"
 #include "storage/device_factory.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
@@ -113,9 +96,7 @@
 #include "server/net.h"
 #include "storage/block_device.h"
 #include "telemetry/exporter.h"
-#include "telemetry/metric_registry.h"
-#include "telemetry/sampler.h"
-#include "telemetry/trace_recorder.h"
+#include "telemetry/outputs.h"
 #include "updates/buffered_index.h"
 #include "workload/datasets.h"
 
@@ -124,43 +105,29 @@ using namespace liod;
 namespace {
 
 struct CliArgs {
+  // --- engine (run, recover and serve) -------------------------------------
   std::string index = "btree";
   std::string dataset = "fb";
-  std::string workload = "lookup-only";
   std::size_t bulk = 100'000;
-  std::size_t ops = 50'000;
-  std::size_t block = 4096;
-  std::size_t buffer = 1;
-  std::size_t buffer_budget = 0;  // 0 = per-file budgets
-  std::string buffer_policy = "lru";
-  bool write_back = false;
-  std::size_t update_buffer = 0;  // 0 = in-place updates (paper default)
-  std::string merge_mode = "sync";
-  double merge_threshold = 1.0;
-  std::string durability = "none";
-  std::size_t group_window = 8;
-  std::size_t checkpoint_every = 0;  // 0 = checkpoint at merges only
-  bool recover = false;
-  std::size_t scan_length = 100;
-  std::size_t threads = 1;
-  std::size_t shards = 1;
   std::uint64_t seed = 42;
+  std::size_t shards = 1;
+  IndexOptions options;          ///< --block through --device-path write here
+  bool device_no_batch = false;  ///< --device-no-batch: one syscall per block
+  bool recover = false;
+
+  // --- run and recover -----------------------------------------------------
+  WorkloadType workload = WorkloadType::kLookupOnly;
+  std::size_t ops = 50'000;
+  std::size_t threads = 1;
   double zipf_theta = 0.99;
-  std::string disk = "both";
+  std::size_t scan_length = 100;
+  std::vector<DiskModel> disks = {DiskModel::Hdd(), DiskModel::Ssd()};  ///< --disk
   bool csv = false;
-  bool inner_in_memory = false;
-  std::string device = "modeled";  ///< --device: storage backend of all files
-  std::string device_path;         ///< --device-path: "" = temp dir, removed on exit
-  bool device_no_batch = false;    ///< --device-no-batch: one syscall per block
+  bool progress = false;  ///< --progress: stderr heartbeat
 
-  // --- telemetry (all off by default; see src/telemetry/) ------------------
-  std::string metrics_out;          ///< --metrics-out: final registry JSON
-  std::string trace_out;            ///< --trace-out: Chrome trace-event JSON
-  std::string sample_out;           ///< --sample-out: periodic time-series CSV
-  std::size_t sample_every_ms = 0;  ///< --sample-every-ms (0 = 100 when sampling)
-  bool progress = false;            ///< --progress: stderr heartbeat
+  TelemetryFlags telemetry;  ///< run, recover and serve
 
-  // --- serve-only ----------------------------------------------------------
+  // --- serve ---------------------------------------------------------------
   std::string listen;             ///< --listen unix:PATH | tcp:[HOST:]PORT
   std::size_t server_queue = 64;  ///< --queue: multi-request frames executing at once
   std::string wal_dir;            ///< --wal-dir: stable durable-file directory
@@ -168,170 +135,113 @@ struct CliArgs {
   double slow_op_us = 0.0;        ///< --slow-op-us: capture threshold (0 = off)
   std::size_t slow_op_cap = 128;  ///< --slow-op-cap: slow-op ring capacity
 
-  // --- stats-only ----------------------------------------------------------
-  std::string connect;      ///< --connect unix:PATH | tcp:[HOST:]PORT
-  std::size_t watch = 0;    ///< --watch N: re-poll every N seconds (0 = once)
+  // --- stats ---------------------------------------------------------------
+  std::string connect;    ///< --connect unix:PATH | tcp:[HOST:]PORT
+  std::size_t watch = 0;  ///< --watch N: re-poll every N seconds (0 = once)
 };
 
-void Usage() {
-  std::printf(
-      "liod_cli run --index NAME --dataset NAME --workload TYPE [options]\n"
-      "liod_cli serve --listen unix:PATH|tcp:[HOST:]PORT [--queue N]\n"
-      "               [--wal-dir DIR] [--recover] [engine options]\n"
-      "liod_cli recover [run options]   (run with the crash-recovery demo)\n"
-      "liod_cli stats --connect unix:PATH|tcp:[HOST:]PORT [--watch N]\n\n"
-      "indexes:   btree fiting pgm alex alex-l1 lipp hybrid-{fiting,pgm,alex,lipp}\n"
-      "datasets: ");
-  for (const auto& d : AllDatasetNames()) std::printf(" %s", d.c_str());
-  std::printf("\nworkloads:");
-  for (WorkloadType t : AllWorkloadTypes()) std::printf(" %s", WorkloadTypeName(t));
-  for (WorkloadType t : YcsbWorkloadTypes()) std::printf(" %s", WorkloadTypeName(t));
-  std::printf(
-      "\noptions:   --bulk N --ops N --block BYTES --buffer BLOCKS --seed N\n"
-      "           --buffer-policy lru|clock|fifo --buffer-budget BLOCKS (shared pool;\n"
-      "             spans all shards) --write-back\n"
-      "           --scan-length N --disk hdd|ssd|both --csv --inner-in-memory\n"
-      "           --threads N --shards N (engine CSV columns when either > 1)\n"
-      "           --zipf THETA\n"
-      "           --update-buffer BLOCKS (0 = in-place) --merge-mode sync|background\n"
-      "           --merge-threshold F (fraction of staging capacity; > 1 spills runs)\n"
-      "           --durability none|async|group-commit|sync-per-op (WAL for the\n"
-      "             buffered write path) --group-window OPS --checkpoint-every OPS\n"
-      "           --recover (1 thread x 1 shard: crash + rebuild demonstration)\n"
-      "           --device modeled|file|direct (storage backend; file/direct add\n"
-      "             wall-clock CSV columns with bit-identical counted I/O)\n"
-      "           --device-path DIR (real-device files; default: temp dir)\n"
-      "           --device-no-batch (one syscall per block; batch-savings baseline)\n"
-      "           --metrics-out FILE (final metric-registry JSON)\n"
-      "           --trace-out FILE (Chrome trace-event JSON; load in Perfetto)\n"
-      "           --sample-out FILE --sample-every-ms N (periodic metrics CSV)\n"
-      "           --progress (stderr heartbeat; --csv stdout stays clean)\n"
-      "serve:     --listen unix:PATH|tcp:[HOST:]PORT --queue N (multi-request\n"
-      "             frames executing at once; beyond it they are shed)\n"
-      "           --wal-dir DIR (stable WAL/checkpoint files; enables restart\n"
-      "             recovery) --recover (rebuild from --wal-dir before listening)\n"
-      "           --metrics-listen unix:PATH|tcp:[HOST:]PORT (live HTTP endpoint:\n"
-      "             /metrics Prometheus text, /metrics.json, /stats.json)\n"
-      "           --slow-op-us THRESH (capture ops over THRESH us queue+execute\n"
-      "             in a bounded ring) --slow-op-cap N (ring size, default 128)\n"
-      "stats:     --connect unix:PATH|tcp:[HOST:]PORT (wire stats op; prints the\n"
-      "             liod-stats/1 JSON) --watch N (re-poll every N s with deltas)\n");
+void AddEngineFlags(FlagTable& flags, CliArgs& a) {
+  IndexOptions& o = a.options;
+  flags.String("--index", &a.index, "NAME",
+               "one of btree fiting pgm alex alex-l1 lipp hybrid-{fiting,pgm,alex,lipp}")
+      .Choice("--dataset", &a.dataset, NamedChoices(AllDatasetNames()), "synthetic dataset")
+      .Number("--bulk", &a.bulk, "N", "records bulkloaded before the measured phase")
+      .Number("--seed", &a.seed, "N", "dataset and workload seed")
+      .Number("--shards", &a.shards, "N", "key-range shards")
+      .Number("--block", &o.block_size, "BYTES", "block size, a power of two >= 512")
+      .Number("--buffer", &o.buffer_pool_blocks, "BLOCKS", "buffer frames per file")
+      .Number("--buffer-budget", &o.shared_buffer_budget_blocks, "BLOCKS",
+              "one pool shared by all files and shards instead (0 = per file)")
+      .Choice("--buffer-policy", &o.buffer_policy,
+              NamedChoices<BufferPolicy>(
+                  {BufferPolicy::kLru, BufferPolicy::kClock, BufferPolicy::kFifo},
+                  BufferPolicyName),
+              "buffer eviction policy")
+      .Switch("--write-back", &o.buffer_write_back, "write a dirty frame once, on eviction")
+      .Switch("--inner-in-memory", &o.memory_resident_inner, "keep inner nodes in memory")
+      .Number("--update-buffer", &o.update_buffer_blocks, "BLOCKS",
+              "out-of-place staging area (0 = in-place updates)")
+      .Choice("--merge-mode", &o.update_buffer_merge_mode,
+              NamedChoices<MergeMode>({MergeMode::kSync, MergeMode::kBackground}, MergeModeName),
+              "where staged updates drain")
+      .Number("--merge-threshold", &o.update_buffer_merge_threshold, "F",
+              "drain at F x staging capacity (> 1 spills sorted runs)")
+      .Choice("--durability", &o.durability,
+              NamedChoices<DurabilityPolicy>(
+                  {DurabilityPolicy::kNone, DurabilityPolicy::kAsync,
+                   DurabilityPolicy::kGroupCommit, DurabilityPolicy::kSyncPerOp},
+                  DurabilityPolicyName),
+              "write-ahead logging of the buffered write path")
+      .Number("--group-window", &o.wal_group_window, "OPS", "group-commit window")
+      .Number("--checkpoint-every", &o.checkpoint_every_ops, "OPS",
+              "checkpoint cadence (0 = at merges only)")
+      .Choice("--device", &o.device,
+              NamedChoices<DeviceKind>(
+                  {DeviceKind::kModeled, DeviceKind::kFile, DeviceKind::kDirect}, DeviceKindName),
+              "storage backend; file and direct add wall-clock CSV columns")
+      .String("--device-path", &o.device_path, "DIR",
+              "real-device files (default: a temp dir, removed on exit)")
+      .Switch("--device-no-batch", &a.device_no_batch,
+              "one syscall per block (the batch-savings baseline)")
+      .Switch("--recover", &a.recover,
+              "run: crash + rebuild demo (1 thread x 1 shard); serve: rebuild from --wal-dir");
 }
 
-bool Parse(int argc, char** argv, int start, CliArgs* args) {
-  for (int i = start; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    const char* v = nullptr;
-    auto number = [&](auto* out) { return ParseFlagNumber(a.c_str(), v, out); };
-    bool ok = true;
-    if (a == "--help" || a == "-h") return false;
-    if (a == "--csv") {
-      args->csv = true;
-    } else if (a == "--inner-in-memory") {
-      args->inner_in_memory = true;
-    } else if (a == "--write-back") {
-      args->write_back = true;
-    } else if (a == "--recover") {
-      args->recover = true;
-    } else if (a == "--device-no-batch") {
-      args->device_no_batch = true;
-    } else if (a == "--progress") {
-      args->progress = true;
-    } else if ((v = next()) == nullptr) {
-      std::fprintf(stderr, "missing value for %s\n", a.c_str());
-      return false;
-    } else if (a == "--index") {
-      args->index = v;
-    } else if (a == "--dataset") {
-      args->dataset = v;
-    } else if (a == "--workload") {
-      args->workload = v;
-    } else if (a == "--bulk") {
-      ok = number(&args->bulk);
-    } else if (a == "--ops") {
-      ok = number(&args->ops);
-    } else if (a == "--block") {
-      ok = number(&args->block);
-    } else if (a == "--buffer") {
-      ok = number(&args->buffer);
-    } else if (a == "--buffer-budget") {
-      ok = number(&args->buffer_budget);
-    } else if (a == "--buffer-policy") {
-      args->buffer_policy = v;
-    } else if (a == "--update-buffer") {
-      ok = number(&args->update_buffer);
-    } else if (a == "--merge-mode") {
-      args->merge_mode = v;
-    } else if (a == "--merge-threshold") {
-      ok = number(&args->merge_threshold);
-    } else if (a == "--durability") {
-      args->durability = v;
-    } else if (a == "--group-window") {
-      ok = number(&args->group_window);
-    } else if (a == "--checkpoint-every") {
-      ok = number(&args->checkpoint_every);
-    } else if (a == "--scan-length") {
-      ok = number(&args->scan_length);
-    } else if (a == "--threads") {
-      ok = number(&args->threads);
-    } else if (a == "--shards") {
-      ok = number(&args->shards);
-    } else if (a == "--seed") {
-      ok = number(&args->seed);
-    } else if (a == "--zipf") {
-      ok = number(&args->zipf_theta);
-    } else if (a == "--disk") {
-      args->disk = v;
-    } else if (a == "--device") {
-      args->device = v;
-    } else if (a == "--device-path") {
-      args->device_path = v;
-    } else if (a == "--metrics-out") {
-      args->metrics_out = v;
-    } else if (a == "--trace-out") {
-      args->trace_out = v;
-    } else if (a == "--sample-out") {
-      args->sample_out = v;
-    } else if (a == "--sample-every-ms") {
-      ok = number(&args->sample_every_ms);
-    } else if (a == "--listen") {
-      args->listen = v;
-    } else if (a == "--queue") {
-      ok = number(&args->server_queue);
-    } else if (a == "--wal-dir") {
-      args->wal_dir = v;
-    } else if (a == "--metrics-listen") {
-      args->metrics_listen = v;
-    } else if (a == "--slow-op-us") {
-      ok = number(&args->slow_op_us);
-    } else if (a == "--slow-op-cap") {
-      ok = number(&args->slow_op_cap);
-    } else if (a == "--connect") {
-      args->connect = v;
-    } else if (a == "--watch") {
-      ok = number(&args->watch);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a.c_str());
-      return false;
-    }
-    if (!ok) return false;
-  }
-  if (args->threads == 0) args->threads = 1;
-  if (args->shards == 0) args->shards = 1;
-  if (!args->sample_out.empty() && args->sample_every_ms == 0) args->sample_every_ms = 100;
-  if (args->sample_every_ms > 0 && args->sample_out.empty()) {
-    std::fprintf(stderr, "--sample-every-ms requires --sample-out FILE\n");
+void AddRunFlags(FlagTable& flags, CliArgs& a) {
+  flags
+      .Choice("--workload", &a.workload, NamedChoices(EveryWorkloadType(), WorkloadTypeName),
+              "operation mix")
+      .Number("--ops", &a.ops, "N", "measured operations")
+      .Number("--threads", &a.threads, "N",
+              "client threads (engine CSV columns when threads or shards > 1)")
+      .Number("--zipf", &a.zipf_theta, "THETA", "Zipfian skew of YCSB key choice")
+      .Number("--scan-length", &a.scan_length, "N", "records per scan")
+      .Choice("--disk", &a.disks,
+              {{"hdd", {DiskModel::Hdd()}},
+               {"ssd", {DiskModel::Ssd()}},
+               {"both", {DiskModel::Hdd(), DiskModel::Ssd()}}},
+              "modeled disks to report")
+      .Switch("--csv", &a.csv, "CSV rows instead of the summary")
+      .Switch("--progress", &a.progress, "a heartbeat on stderr every second");
+}
+
+void AddServeFlags(FlagTable& flags, CliArgs& a) {
+  flags.String("--listen", &a.listen, "unix:PATH|tcp:[HOST:]PORT", "where to serve (required)")
+      .Number("--queue", &a.server_queue, "N",
+              "multi-request frames executing at once (default 64); beyond it they are shed")
+      .String("--wal-dir", &a.wal_dir, "DIR",
+              "stable WAL/checkpoint files, so --recover can restart from them")
+      .String("--metrics-listen", &a.metrics_listen, "unix:PATH|tcp:[HOST:]PORT",
+              "HTTP /metrics (Prometheus), /metrics.json and /stats.json")
+      .Number("--slow-op-us", &a.slow_op_us, "US",
+              "capture ops over US us of queue+execute in a ring (0 = off)")
+      .Number("--slow-op-cap", &a.slow_op_cap, "N", "slow-op ring capacity (default 128)");
+}
+
+void AddStatsFlags(FlagTable& flags, CliArgs& a) {
+  flags.String("--connect", &a.connect, "unix:PATH|tcp:[HOST:]PORT", "the serve to ask (required)")
+      .Number("--watch", &a.watch, "N", "re-poll every N s and print deltas (0 = once)");
+}
+
+/// Checks what the engine flags' table cannot, saying why on failure, and
+/// completes the IndexOptions they wrote.
+bool ResolveEngineFlags(CliArgs* args) {
+  IndexOptions& options = args->options;
+  if (!IsValidBlockSize(options.block_size)) {
+    std::fprintf(stderr, "--block must be a power of two >= 512 (got %zu)\n",
+                 options.block_size);
     return false;
   }
+  if (options.update_buffer_merge_threshold <= 0.0) {
+    std::fprintf(stderr, "--merge-threshold must be > 0 (got %s)\n",
+                 std::to_string(options.update_buffer_merge_threshold).c_str());
+    return false;
+  }
+  options.device_batching = !args->device_no_batch;
+  options.alex_max_data_node_slots = 4096;
+  if (args->threads == 0) args->threads = 1;
+  if (args->shards == 0) args->shards = 1;
   return true;
-}
-
-std::vector<DiskModel> ParseDisks(const std::string& name) {
-  std::vector<DiskModel> disks;
-  if (name == "hdd" || name == "both") disks.push_back(DiskModel::Hdd());
-  if (name == "ssd" || name == "both") disks.push_back(DiskModel::Ssd());
-  return disks;
 }
 
 /// --progress: a once-per-second heartbeat on STDERR (stdout stays parseable
@@ -417,48 +327,6 @@ DurableTotals SumDurable(ShardedEngine& engine) {
     totals.last_lsn = std::max(totals.last_lsn, durable->wal_last_lsn());
   }
   return totals;
-}
-
-/// The CLI-owned telemetry objects. The registry/trace outlive the engine
-/// (it references them); the sampler is constructed by the runner's
-/// before_ops hook so its frozen CSV columns include every metric the run
-/// registers.
-struct TelemetryContext {
-  std::unique_ptr<MetricRegistry> metrics;
-  std::unique_ptr<TraceRecorder> trace;
-  std::unique_ptr<TelemetrySampler> sampler;
-};
-
-bool WriteFileOrComplain(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << contents;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// Stops the sampler and writes --metrics-out / --trace-out. Must run while
-/// the engine is still alive: the registry's gauges read its IoStats.
-int FinishTelemetry(const CliArgs& args, TelemetryContext* telemetry) {
-  int rc = 0;
-  if (telemetry->sampler != nullptr) {
-    const Status status = telemetry->sampler->Stop();
-    if (!status.ok()) {
-      std::fprintf(stderr, "telemetry sampler failed: %s\n", status.ToString().c_str());
-      rc = 1;
-    }
-    telemetry->sampler.reset();
-  }
-  if (!args.metrics_out.empty() && telemetry->metrics != nullptr) {
-    if (!WriteFileOrComplain(args.metrics_out, telemetry->metrics->ToJson())) rc = 1;
-  }
-  if (!args.trace_out.empty() && telemetry->trace != nullptr) {
-    if (!WriteFileOrComplain(args.trace_out, telemetry->trace->ToChromeTraceJson())) rc = 1;
-  }
-  return rc;
 }
 
 /// --recover demonstration on a one-shard engine: after the measured (and
@@ -549,7 +417,7 @@ std::unique_ptr<DurableSlot> MakeCliDurableSlot(const IndexOptions& options) {
 /// --shards, then reports it. 1 x 1, the default, is one index on one thread:
 /// the paper's evaluation.
 int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vector<Key>& keys,
-                const WorkloadSpec& spec, TelemetryContext* telemetry) {
+                const WorkloadSpec& spec, TelemetryOutputs* telemetry) {
   EngineOptions engine_options;
   engine_options.index_name = args.index;
   engine_options.num_shards = args.shards;
@@ -576,11 +444,7 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
   // Every metric is registered by the time before_ops runs, so the sampler's
   // frozen columns cover them all.
   config.before_ops = [&] {
-    if (!args.sample_out.empty() && telemetry->metrics != nullptr) {
-      telemetry->sampler = std::make_unique<TelemetrySampler>(
-          telemetry->metrics.get(), args.sample_out,
-          std::chrono::milliseconds(args.sample_every_ms));
-    }
+    telemetry->StartSampler();
     if (!args.progress) return;
     reporter = std::make_unique<ProgressReporter>(&ops_done, [&engine] {
       const DurableTotals durable = SumDurable(*engine);
@@ -595,19 +459,14 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
   ConcurrentRunResult result;
   const Status status = RunConcurrentWorkload(engine.get(), w, config, &result);
   reporter.reset();  // stop the heartbeat before any other output
-  const int telemetry_rc = FinishTelemetry(args, telemetry);
+  const bool telemetry_ok = telemetry->Finish();
   if (!status.ok()) {
     std::fprintf(stderr, "run failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  if (telemetry_rc != 0) return telemetry_rc;
+  if (!telemetry_ok) return 1;
 
-  const std::vector<DiskModel> disks = ParseDisks(args.disk);
-  if (disks.empty()) {
-    std::fprintf(stderr, "unknown disk '%s'\n", args.disk.c_str());
-    return 2;
-  }
-
+  const std::vector<DiskModel>& disks = args.disks;
   const IndexStats& stats = result.stats_after;
   const double ops_den =
       result.operations == 0 ? 1.0 : static_cast<double>(result.operations);
@@ -622,7 +481,8 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
         one_by_one ? "" : "threads,shards,", one_by_one ? "stddev_us," : "",
         one_by_one ? "invalid_mib," : "");
     for (const DiskModel& disk : disks) {
-      std::printf("%s,%s,%s,", args.index.c_str(), args.dataset.c_str(), args.workload.c_str());
+      std::printf("%s,%s,%s,", args.index.c_str(), args.dataset.c_str(),
+                  WorkloadTypeName(args.workload));
       if (!one_by_one) std::printf("%zu,%zu,", args.threads, engine->num_shards());
       std::printf("%s,%llu,%.2f,%.3f,%.3f,%.1f,", disk.name.c_str(),
                   static_cast<unsigned long long>(result.operations),
@@ -647,7 +507,7 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
   } else {
     std::printf(
         "%s on %s / %s: %llu ops, %zu threads x %zu shards, %zu bulkloaded keys\n",
-        args.index.c_str(), args.dataset.c_str(), args.workload.c_str(),
+        args.index.c_str(), args.dataset.c_str(), WorkloadTypeName(args.workload),
         static_cast<unsigned long long>(result.operations), args.threads,
         engine->num_shards(), w.bulk.size());
     std::printf("  blocks/op: %.2f read, %.2f written\n",
@@ -692,50 +552,6 @@ int RunOnEngine(const CliArgs& args, const IndexOptions& options, const std::vec
   return 0;
 }
 
-/// Builds the IndexOptions shared by run and serve from the flag set.
-/// Returns 0 on success, 2 (after complaining to stderr) on a bad value;
-/// callers print Usage() on failure.
-int BuildIndexOptions(const CliArgs& args, IndexOptions* options) {
-  if (!IsValidBlockSize(args.block)) {
-    std::fprintf(stderr, "--block must be a power of two >= 512 (got %zu)\n", args.block);
-    return 2;
-  }
-  options->block_size = args.block;
-  options->buffer_pool_blocks = args.buffer;
-  options->shared_buffer_budget_blocks = args.buffer_budget;
-  options->buffer_write_back = args.write_back;
-  options->memory_resident_inner = args.inner_in_memory;
-  options->alex_max_data_node_slots = 4096;
-  if (!BufferPolicyFromName(args.buffer_policy, &options->buffer_policy)) {
-    std::fprintf(stderr, "unknown buffer policy '%s'\n", args.buffer_policy.c_str());
-    return 2;
-  }
-  if (args.merge_threshold <= 0.0) {
-    std::fprintf(stderr, "--merge-threshold must be > 0 (got %s)\n",
-                 std::to_string(args.merge_threshold).c_str());
-    return 2;
-  }
-  options->update_buffer_blocks = args.update_buffer;
-  options->update_buffer_merge_threshold = args.merge_threshold;
-  if (!MergeModeFromName(args.merge_mode, &options->update_buffer_merge_mode)) {
-    std::fprintf(stderr, "unknown merge mode '%s'\n", args.merge_mode.c_str());
-    return 2;
-  }
-  if (!DurabilityPolicyFromName(args.durability, &options->durability)) {
-    std::fprintf(stderr, "unknown durability policy '%s'\n", args.durability.c_str());
-    return 2;
-  }
-  options->wal_group_window = args.group_window;
-  options->checkpoint_every_ops = args.checkpoint_every;
-  if (!DeviceKindFromName(args.device, &options->device)) {
-    std::fprintf(stderr, "unknown device '%s'\n", args.device.c_str());
-    return 2;
-  }
-  options->device_path = args.device_path;
-  options->device_batching = !args.device_no_batch;
-  return 0;
-}
-
 /// Real devices with no --device-path get a private temp directory, removed
 /// on scope exit (best effort; the files are scratch by definition).
 struct ScopedTempDeviceDir {
@@ -766,18 +582,7 @@ int MaybeMakeTempDeviceDir(IndexOptions* options, ScopedTempDeviceDir* dir) {
 /// `run` (and `recover`, which is run with the crash demo forced on): the
 /// historical benchmark driver with its exact output format.
 int RunCommand(const CliArgs& args) {
-  WorkloadType type = WorkloadType::kLookupOnly;
-  if (!WorkloadTypeFromName(args.workload, &type)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", args.workload.c_str());
-    Usage();
-    return 2;
-  }
-
-  IndexOptions options;
-  if (const int rc = BuildIndexOptions(args, &options); rc != 0) {
-    Usage();
-    return rc;
-  }
+  IndexOptions options = args.options;
   if (args.recover && (args.threads > 1 || args.shards > 1)) {
     std::fprintf(stderr, "--recover supports one thread and one shard only (threads=shards=1)\n");
     return 2;
@@ -788,30 +593,19 @@ int RunCommand(const CliArgs& args) {
   }
 
   const std::size_t dataset_keys =
-      WorkloadGrowsDataset(type) ? args.bulk + args.ops : args.bulk;
+      WorkloadGrowsDataset(args.workload) ? args.bulk + args.ops : args.bulk;
   const auto keys = MakeDataset(args.dataset, dataset_keys, args.seed);
 
   WorkloadSpec spec;
-  spec.type = type;
+  spec.type = args.workload;
   spec.bulk_keys = args.bulk;
   spec.operations = args.ops;
   spec.scan_length = args.scan_length;
   spec.seed = args.seed + 1;
   spec.zipf_theta = args.zipf_theta;
 
-  // Telemetry is opt-in: nothing is constructed (and the library sees null
-  // escape hatches, i.e. the zero-overhead default) unless a flag asks for an
-  // output. The registry/trace outlive the index and engine, which hold raw
-  // pointers to them.
-  TelemetryContext telemetry;
-  if (!args.metrics_out.empty() || !args.sample_out.empty()) {
-    telemetry.metrics = std::make_unique<MetricRegistry>();
-  }
-  if (!args.trace_out.empty()) {
-    telemetry.trace = std::make_unique<TraceRecorder>();
-  }
-  options.metrics = telemetry.metrics.get();
-  options.trace = telemetry.trace.get();
+  TelemetryOutputs telemetry(args.telemetry);
+  telemetry.Apply(&options);
 
   ScopedTempDeviceDir temp_device_dir;
   if (MaybeMakeTempDeviceDir(&options, &temp_device_dir) != 0) return 1;
@@ -832,17 +626,9 @@ bool ParseEndpointFlag(const char* flag, const std::string& value,
 /// engine flags as run, then serve the binary KV protocol until
 /// SIGINT/SIGTERM, finishing with a graceful drain + checkpoint.
 int ServeCommand(const CliArgs& args) {
-  IndexOptions options;
-  if (const int rc = BuildIndexOptions(args, &options); rc != 0) {
-    Usage();
-    return rc;
-  }
-
+  IndexOptions options = args.options;
   server::Endpoint listen;
-  if (!ParseEndpointFlag("--listen", args.listen, &listen)) {
-    Usage();
-    return 2;
-  }
+  if (!ParseEndpointFlag("--listen", args.listen, &listen)) return 2;
   server::Endpoint metrics_listen;
   if (!args.metrics_listen.empty() &&
       !ParseEndpointFlag("--metrics-listen", args.metrics_listen, &metrics_listen)) {
@@ -861,18 +647,10 @@ int ServeCommand(const CliArgs& args) {
     return 2;
   }
 
-  TelemetryContext telemetry;
   // The live endpoint serves the registry, so --metrics-listen implies one
   // even without a file output.
-  if (!args.metrics_out.empty() || !args.sample_out.empty() ||
-      !args.metrics_listen.empty()) {
-    telemetry.metrics = std::make_unique<MetricRegistry>();
-  }
-  if (!args.trace_out.empty()) {
-    telemetry.trace = std::make_unique<TraceRecorder>();
-  }
-  options.metrics = telemetry.metrics.get();
-  options.trace = telemetry.trace.get();
+  TelemetryOutputs telemetry(args.telemetry, /*need_registry=*/!args.metrics_listen.empty());
+  telemetry.Apply(&options);
 
   ScopedTempDeviceDir temp_device_dir;
   if (MaybeMakeTempDeviceDir(&options, &temp_device_dir) != 0) return 1;
@@ -898,10 +676,10 @@ int ServeCommand(const CliArgs& args) {
       const std::string base = args.wal_dir + "/shard" + std::to_string(i);
       auto wal = std::make_unique<FileBlockDevice>(base + ".wal", options.block_size,
                                                    /*truncate=*/!args.recover,
-                                                   telemetry.metrics.get());
+                                                   telemetry.metrics());
       auto ckpt = std::make_unique<FileBlockDevice>(base + ".ckpt", options.block_size,
                                                     /*truncate=*/!args.recover,
-                                                    telemetry.metrics.get());
+                                                    telemetry.metrics());
       if (!wal->ok() || !ckpt->ok()) {
         std::fprintf(stderr, "cannot open durable files %s.{wal,ckpt}%s\n", base.c_str(),
                      args.recover ? " (is --wal-dir from the previous serve?)" : "");
@@ -938,8 +716,8 @@ int ServeCommand(const CliArgs& args) {
   }
 
   server_options.queue_capacity = args.server_queue;
-  server_options.metrics = telemetry.metrics.get();
-  server_options.trace = telemetry.trace.get();
+  server_options.metrics = telemetry.metrics();
+  server_options.trace = telemetry.trace();
   server_options.slow_op_us = args.slow_op_us;
   server_options.slow_op_capacity = args.slow_op_cap;
 
@@ -974,7 +752,7 @@ int ServeCommand(const CliArgs& args) {
   MetricsExporter exporter(ExporterOptions{.unix_path = metrics_listen.unix_path,
                                            .tcp_port = metrics_listen.port,
                                            .tcp_host = metrics_listen.host,
-                                           .registry = telemetry.metrics.get()});
+                                           .registry = telemetry.metrics()});
   if (!args.metrics_listen.empty()) {
     exporter.AddJsonHandler("/stats.json", [&server] { return server.StatsJson(); });
     if (const Status status = exporter.Start(); !status.ok()) {
@@ -988,11 +766,7 @@ int ServeCommand(const CliArgs& args) {
 
   // The sampler starts once every metric (engine + server) is registered, so
   // its frozen CSV columns cover the server.* namespace too.
-  if (!args.sample_out.empty() && telemetry.metrics != nullptr) {
-    telemetry.sampler = std::make_unique<TelemetrySampler>(
-        telemetry.metrics.get(), args.sample_out,
-        std::chrono::milliseconds(args.sample_every_ms));
-  }
+  telemetry.StartSampler();
 
   int sig = 0;
   sigwait(&sigs, &sig);
@@ -1010,12 +784,12 @@ int ServeCommand(const CliArgs& args) {
                static_cast<unsigned long long>(counters.batches_overloaded),
                static_cast<unsigned long long>(counters.batches_shutdown_rejected),
                static_cast<unsigned long long>(counters.malformed_frames));
-  const int telemetry_rc = FinishTelemetry(args, &telemetry);
+  const bool telemetry_ok = telemetry.Finish();
   if (!down.ok()) {
     std::fprintf(stderr, "shutdown failed: %s\n", down.ToString().c_str());
     return 1;
   }
-  return telemetry_rc;
+  return telemetry_ok ? 0 : 1;
 }
 
 /// Extracts the first `"key":<number>` from a JSON document. The stats
@@ -1037,10 +811,7 @@ double FindJsonNumber(const std::string& json, const std::string& key, bool* fou
 /// every N seconds and prints one delta line per interval.
 int StatsCommand(const CliArgs& args) {
   server::Endpoint endpoint;
-  if (!ParseEndpointFlag("--connect", args.connect, &endpoint)) {
-    Usage();
-    return 2;
-  }
+  if (!ParseEndpointFlag("--connect", args.connect, &endpoint)) return 2;
   server::KvClient client;
   const Status status = endpoint.unix_path.empty()
                             ? client.ConnectTcp(endpoint.host, endpoint.port)
@@ -1086,19 +857,37 @@ int StatsCommand(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   const std::string command = argc > 1 ? argv[1] : "";
-  if (command != "run" && command != "serve" && command != "recover" && command != "stats") {
-    if (!command.empty()) std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-    Usage();
-    return 2;
+  const bool run = command == "run" || command == "recover";
+  if (!run && command != "serve" && command != "stats") {
+    const bool help = command == "--help" || command == "-h";
+    if (!help && !command.empty()) std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    std::fprintf(help ? stdout : stderr,
+                 "usage: liod_cli run|recover|serve|stats [flags]\n"
+                 "  run      benchmark an index x dataset x workload\n"
+                 "  recover  run, then crash and rebuild from the WAL\n"
+                 "  serve    serve the KV protocol over a sharded engine\n"
+                 "  stats    live stats of a running serve\n"
+                 "liod_cli COMMAND --help lists the command's flags.\n");
+    return help ? 0 : 2;
   }
 
   CliArgs args;
-  if (!Parse(argc, argv, 2, &args)) {
-    Usage();
-    return 2;
+  FlagTable flags;
+  if (command == "stats") {
+    AddStatsFlags(flags, args);
+  } else {
+    AddEngineFlags(flags, args);
+    if (run) {
+      AddRunFlags(flags, args);
+    } else {
+      AddServeFlags(flags, args);
+    }
+    args.telemetry.AddTo(flags);
   }
-  if (command == "serve") return ServeCommand(args);
+  if (const std::optional<int> exit = flags.ParseMain(argc, argv, 2)) return *exit;
   if (command == "stats") return StatsCommand(args);
+  if (!ResolveEngineFlags(&args) || !args.telemetry.Resolve()) return 2;
+  if (command == "serve") return ServeCommand(args);
   if (command == "recover") args.recover = true;
   return RunCommand(args);
 }
