@@ -14,7 +14,6 @@
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
 #include "storage/disk_model.h"
-#include "telemetry/outputs.h"
 #include "workload/datasets.h"
 #include "workload/workloads.h"
 
@@ -33,23 +32,34 @@ struct BenchArgs {
   std::uint64_t seed = 42;
   std::vector<std::string> datasets = RepresentativeDatasetNames();  // fb osm ycsb
   std::vector<std::string> indexes = StudiedIndexNames();
-  TelemetryFlags telemetry;  ///< read by binaries that own a TelemetryOutputs
+
+  /// Adds the shared flags to `table`, writing into this object. Their help
+  /// names the current lists as the defaults, so set a binary's own first.
+  void AddTo(FlagTable& table) {
+    auto joined = [](const std::vector<std::string>& names) {
+      std::string text;
+      for (const std::string& name : names) text += (text.empty() ? "" : ",") + name;
+      return text;
+    };
+    table.Number("--search-keys", &search_keys, "N", "bulkload size of search workloads")
+        .Number("--search-ops", &search_ops, "N", "measured search operations")
+        .Number("--write-bulk", &write_bulk, "N", "bulkload size of write workloads")
+        .Number("--write-ops", &write_ops, "N", "measured write/mixed operations")
+        .Number("--seed", &seed, "N", "dataset and workload seed")
+        .ChoiceList("--datasets", &datasets, NamedChoices(AllDatasetNames()),
+                    "datasets to sweep (default " + joined(datasets) + ")")
+        .ChoiceList("--indexes", &indexes, NamedChoices(IndexNames()),
+                    "indexes to sweep (default " + joined(indexes) + ")");
+  }
 
   /// Parses the flags; --help exits 0 and a usage error exits 2.
-  static BenchArgs Parse(int argc, char** argv) {
-    BenchArgs args;
+  static BenchArgs Parse(int argc, char** argv) { return Parse(argc, argv, BenchArgs()); }
+
+  /// Parse over `args`, whose lists are the binary's own defaults.
+  static BenchArgs Parse(int argc, char** argv, BenchArgs args) {
     FlagTable table;
-    table.Number("--search-keys", &args.search_keys, "N", "bulkload size of search workloads")
-        .Number("--search-ops", &args.search_ops, "N", "measured search operations")
-        .Number("--write-bulk", &args.write_bulk, "N", "bulkload size of write workloads")
-        .Number("--write-ops", &args.write_ops, "N", "measured write/mixed operations")
-        .Number("--seed", &args.seed, "N", "dataset and workload seed")
-        .ChoiceList("--datasets", &args.datasets, NamedChoices(AllDatasetNames()),
-                    "datasets to sweep (default fb,osm,ycsb)")
-        .List("--indexes", &args.indexes, "a,b,c", "indexes to sweep (default the studied five)");
-    args.telemetry.AddTo(table);
+    args.AddTo(table);
     if (const std::optional<int> exit = table.ParseMain(argc, argv)) std::exit(*exit);
-    if (!args.telemetry.Resolve()) std::exit(2);
     return args;
   }
 };

@@ -36,10 +36,9 @@ ConcurrentRunResult RunBuffered(const std::string& index_name, const std::string
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
   // Policy sweeps are about buffering, not index breadth: default to the
   // B+-tree baseline; pass --indexes to widen.
-  if (args.indexes == StudiedIndexNames()) args.indexes = {"btree"};
+  const BenchArgs args = BenchArgs::Parse(argc, argv, {.indexes = {"btree"}});
 
   const WorkloadType workloads[] = {WorkloadType::kYcsbA, WorkloadType::kWriteHeavy};
   const BufferPolicy policies[] = {BufferPolicy::kLru, BufferPolicy::kClock,

@@ -9,8 +9,7 @@ using namespace liod;
 using namespace liod::bench;
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
-  args.datasets = {"ycsb", "fb"};
+  const BenchArgs args = BenchArgs::Parse(argc, argv, {.datasets = {"ycsb", "fb"}});
   const IndexOptions options = BenchOptions();
   const DiskModel hdd = DiskModel::Hdd();
 

@@ -41,10 +41,9 @@ struct SweepPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
   // Durability is the subject, not index breadth: default to the B+-tree
   // baseline plus ALEX (the strongest learned writer); pass --indexes to widen.
-  if (args.indexes == StudiedIndexNames()) args.indexes = {"btree", "alex"};
+  const BenchArgs args = BenchArgs::Parse(argc, argv, {.indexes = {"btree", "alex"}});
 
   const WorkloadType workloads[] = {WorkloadType::kYcsbA, WorkloadType::kYcsbF};
   const SweepPoint points[] = {

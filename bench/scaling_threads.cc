@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
       .Number("--zipf", &args.zipf_theta, "THETA", "Zipfian skew of YCSB key choice")
       .List("--threads", &args.threads, "a,b,c", "client thread counts (default 1,2,4,8)")
       .List("--shards", &args.shards, "a,b", "key-range shard counts (default 1,4)")
-      .List("--indexes", &args.indexes, "a,b", "indexes (default btree,alex,pgm)")
+      .ChoiceList("--indexes", &args.indexes, NamedChoices(IndexNames()),
+                  "indexes (default btree,alex,pgm)")
       .ChoiceList("--workloads", &args.workloads,
                   NamedChoices(EveryWorkloadType(), WorkloadTypeName),
                   "workload mixes (default ycsb-a,ycsb-c)")

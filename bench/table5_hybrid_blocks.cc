@@ -9,9 +9,9 @@ using namespace liod;
 using namespace liod::bench;
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
-  args.indexes = HybridIndexNames();
-  args.indexes.push_back("btree");
+  BenchArgs defaults{.indexes = HybridIndexNames()};
+  defaults.indexes.push_back("btree");
+  const BenchArgs args = BenchArgs::Parse(argc, argv, defaults);
   const IndexOptions options = BenchOptions();
 
   std::printf(

@@ -14,6 +14,7 @@
 // Output is CSV (one header), ready for plotting.
 
 #include "bench_common.h"
+#include "telemetry/outputs.h"
 #include "updates/buffered_index.h"
 
 using namespace liod;
@@ -30,14 +31,19 @@ struct SweepPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::Parse(argc, argv);
   // The update path is the subject, not index breadth: default to the
   // B+-tree baseline plus ALEX (the paper's strongest learned writer); pass
   // --indexes to widen.
-  if (args.indexes == StudiedIndexNames()) args.indexes = {"btree", "alex"};
+  BenchArgs args{.indexes = {"btree", "alex"}};
   // --metrics-out/--trace-out/--sample-out: merge/WAL/op telemetry across the
   // whole sweep (counters accumulate over every configuration).
-  TelemetryOutputs telemetry(args.telemetry);
+  TelemetryFlags telemetry_flags;
+  FlagTable table;
+  args.AddTo(table);
+  telemetry_flags.AddTo(table);
+  if (const std::optional<int> exit = table.ParseMain(argc, argv)) return *exit;
+  if (!telemetry_flags.Resolve()) return 2;
+  TelemetryOutputs telemetry(telemetry_flags);
 
   const WorkloadType workloads[] = {WorkloadType::kYcsbA, WorkloadType::kYcsbD,
                                     WorkloadType::kYcsbF};

@@ -10,10 +10,13 @@
 
 namespace liod {
 
-/// Names accepted by MakeIndex:
-///   "btree", "fiting", "pgm", "alex", "alex-l1" (Layout#1), "lipp",
-///   "hybrid-fiting", "hybrid-pgm", "hybrid-alex", "hybrid-lipp".
+/// Constructs the index `name` names (one of IndexNames()); null for any
+/// other name.
 std::unique_ptr<DiskIndex> MakeIndex(const std::string& name, const IndexOptions& options);
+
+/// Every name MakeIndex accepts: the five studied indexes, "alex-l1" (ALEX
+/// Layout#1) and the four hybrids, in that order.
+const std::vector<std::string>& IndexNames();
 
 /// The five studied indexes (Table 1), in the paper's presentation order.
 const std::vector<std::string>& StudiedIndexNames();

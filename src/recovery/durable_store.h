@@ -24,9 +24,8 @@ class BorrowedBlockDevice final : public BlockDevice {
   BlockId num_blocks() const override { return base_->num_blocks(); }
   Status Grow(BlockId new_num_blocks) override { return base_->Grow(new_num_blocks); }
 
-  // Forward the batch capability too: a WAL block force on a real device
-  // should coalesce like any other multi-block submission.
-  bool SupportsBatch() const override { return base_->SupportsBatch(); }
+  // Forward the batch ops too: a multi-block transfer on a real device
+  // should coalesce like any other.
   Status ReadBatch(std::span<const BlockId> ids, std::span<std::byte* const> outs) override {
     return base_->ReadBatch(ids, outs);
   }

@@ -216,6 +216,18 @@ Status FileBlockDevice::ReadBatch(std::span<const BlockId> ids,
                                   std::span<std::byte* const> outs) {
   if (!batching_) return BlockDevice::ReadBatch(ids, outs);
   LIOD_RETURN_IF_ERROR(CheckRange(ids, "read"));
+  return BatchIo(ids, outs, {}, /*write=*/false);
+}
+
+Status FileBlockDevice::WriteBatch(std::span<const BlockId> ids,
+                                   std::span<const std::byte* const> datas) {
+  if (!batching_) return BlockDevice::WriteBatch(ids, datas);
+  LIOD_RETURN_IF_ERROR(CheckRange(ids, "write"));
+  return BatchIo(ids, {}, datas, /*write=*/true);
+}
+
+Status FileBlockDevice::BatchIo(std::span<const BlockId> ids, std::span<std::byte* const> outs,
+                                std::span<const std::byte* const> datas, bool write) {
   const std::size_t bs = block_size();
   std::size_t i = 0;
   std::vector<struct iovec> iov;
@@ -226,69 +238,31 @@ Status FileBlockDevice::ReadBatch(std::span<const BlockId> ids,
       ++run;
     }
     iov.resize(run);
-    for (std::size_t k = 0; k < run; ++k) iov[k] = {outs[i + k], bs};
+    for (std::size_t k = 0; k < run; ++k) {
+      iov[k] = {write ? const_cast<std::byte*>(datas[i + k]) : outs[i + k], bs};
+    }
     const off_t off = static_cast<off_t>(ids[i]) * static_cast<off_t>(bs);
     const std::size_t want = run * bs;
     const auto start = telemetry_.timed() ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
     ssize_t n;
     do {
-      n = ::preadv(fd_, iov.data(), static_cast<int>(run), off);
+      n = write ? ::pwritev(fd_, iov.data(), static_cast<int>(run), off)
+                : ::preadv(fd_, iov.data(), static_cast<int>(run), off);
     } while (n < 0 && errno == EINTR);
-    if (n < 0) return ErrnoStatus("preadv", path_, errno);
+    if (n < 0) return ErrnoStatus(write ? "pwritev" : "preadv", path_, errno);
     telemetry_.RecordSubmission(run, telemetry_.timed() ? ElapsedUs(start) : 0.0);
     if (static_cast<std::size_t>(n) < want) {
-      // Short vectored transfer: finish the run with the plain full-read
+      // Short vectored transfer: finish the run with the plain full-transfer
       // loop instead of re-slicing the iovec table.
       telemetry_.RecordFallback();
       std::size_t done = static_cast<std::size_t>(n);
       while (done < want) {
-        const std::size_t k = done / bs;
         const std::size_t in_block = done % bs;
-        LIOD_RETURN_IF_ERROR(PreadFull(fd_, outs[i + k] + in_block, bs - in_block,
-                                       off + static_cast<off_t>(done), path_));
-        done += bs - in_block;
-      }
-    }
-    i += run;
-  }
-  return Status::Ok();
-}
-
-Status FileBlockDevice::WriteBatch(std::span<const BlockId> ids,
-                                   std::span<const std::byte* const> datas) {
-  if (!batching_) return BlockDevice::WriteBatch(ids, datas);
-  LIOD_RETURN_IF_ERROR(CheckRange(ids, "write"));
-  const std::size_t bs = block_size();
-  std::size_t i = 0;
-  std::vector<struct iovec> iov;
-  while (i < ids.size()) {
-    std::size_t run = 1;
-    while (i + run < ids.size() && run < kMaxIov && ids[i + run] == ids[i + run - 1] + 1) {
-      ++run;
-    }
-    iov.resize(run);
-    for (std::size_t k = 0; k < run; ++k) {
-      iov[k] = {const_cast<std::byte*>(datas[i + k]), bs};
-    }
-    const off_t off = static_cast<off_t>(ids[i]) * static_cast<off_t>(bs);
-    const std::size_t want = run * bs;
-    const auto start = telemetry_.timed() ? std::chrono::steady_clock::now()
-                                          : std::chrono::steady_clock::time_point{};
-    ssize_t n;
-    do {
-      n = ::pwritev(fd_, iov.data(), static_cast<int>(run), off);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return ErrnoStatus("pwritev", path_, errno);
-    telemetry_.RecordSubmission(run, telemetry_.timed() ? ElapsedUs(start) : 0.0);
-    if (static_cast<std::size_t>(n) < want) {
-      telemetry_.RecordFallback();
-      std::size_t done = static_cast<std::size_t>(n);
-      while (done < want) {
-        const std::size_t k = done / bs;
-        const std::size_t in_block = done % bs;
-        LIOD_RETURN_IF_ERROR(PwriteFull(fd_, datas[i + k] + in_block, bs - in_block,
-                                        off + static_cast<off_t>(done), path_));
+        std::byte* block = static_cast<std::byte*>(iov[done / bs].iov_base) + in_block;
+        const off_t at = off + static_cast<off_t>(done);
+        LIOD_RETURN_IF_ERROR(write ? PwriteFull(fd_, block, bs - in_block, at, path_)
+                                   : PreadFull(fd_, block, bs - in_block, at, path_));
         done += bs - in_block;
       }
     }

@@ -90,17 +90,10 @@ class BlockDevice {
   /// Extends the device to at least `new_num_blocks` blocks (zero-filled).
   virtual Status Grow(BlockId new_num_blocks) = 0;
 
-  /// True when ReadBatch/WriteBatch submit multi-block I/O in fewer device
-  /// operations than one per block. The defaults below loop the single-block
-  /// ops, so callers may use the batch entry points unconditionally; the
-  /// buffer manager additionally keeps its exact sequential accounting when
-  /// this is false, so the simulated devices behave bit-identically to the
-  /// pre-batch code.
-  virtual bool SupportsBatch() const { return false; }
-
   /// Reads ids[i] into outs[i] (block_size() bytes each). ids need not be
   /// contiguous; batching devices coalesce contiguous runs into vectored
-  /// submissions. Default: one Read per block.
+  /// submissions. Default: one Read per block, so every device takes the
+  /// batch entry points.
   virtual Status ReadBatch(std::span<const BlockId> ids, std::span<std::byte* const> outs);
 
   /// Writes datas[i] to ids[i]. Default: one Write per block.
@@ -158,13 +151,17 @@ class FileBlockDevice final : public BlockDevice {
   BlockId num_blocks() const override;
   Status Grow(BlockId new_num_blocks) override;
 
-  bool SupportsBatch() const override { return batching_; }
   Status ReadBatch(std::span<const BlockId> ids, std::span<std::byte* const> outs) override;
   Status WriteBatch(std::span<const BlockId> ids,
                     std::span<const std::byte* const> datas) override;
 
  private:
   Status CheckRange(std::span<const BlockId> ids, const char* what) const;
+  /// Shared body of ReadBatch/WriteBatch: one preadv/pwritev per maximal
+  /// contiguous run (capped at one iovec table); a short completion finishes
+  /// the run with the full-transfer loop.
+  Status BatchIo(std::span<const BlockId> ids, std::span<std::byte* const> outs,
+                 std::span<const std::byte* const> datas, bool write);
 
   int fd_ = -1;
   BlockId num_blocks_ = 0;

@@ -26,16 +26,14 @@ Status FileHandle::WriteBlock(BlockId id, const std::byte* data) {
   return manager_->WriteBlockLocked(this, id, data);
 }
 
-Status FileHandle::ReadBlocks(std::span<const BlockId> ids,
-                              std::span<std::byte* const> outs) {
+Status FileHandle::ReadBlocks(BlockId first, std::size_t count, std::byte* out) {
   std::lock_guard<std::mutex> lock(manager_->mu_);
-  return manager_->ReadBlocksLocked(this, ids, outs);
+  return manager_->ReadBlocksLocked(this, first, count, out);
 }
 
-Status FileHandle::WriteBlocks(std::span<const BlockId> ids,
-                               std::span<const std::byte* const> datas) {
+Status FileHandle::WriteBlocks(BlockId first, std::size_t count, const std::byte* data) {
   std::lock_guard<std::mutex> lock(manager_->mu_);
-  return manager_->WriteBlocksLocked(this, ids, datas);
+  return manager_->WriteBlocksLocked(this, first, count, data);
 }
 
 Status FileHandle::Flush() {
@@ -145,18 +143,36 @@ Status BufferManager::CheckBudget(const Pool& pool) {
   return Status::Ok();
 }
 
-Status BufferManager::WritebackLocked(Frame& frame) {
+Status BufferManager::WritebackLocked(FileHandle* file, std::span<const std::size_t> slots) {
   // WAL-before-data: a deferred data-page write must not reach the device
   // ahead of the log records covering it. The hook forces the owning index's
   // WAL (which lives on its own private manager, so this does not re-enter
-  // our latch) and is a no-op when the WAL has nothing unforced.
-  if (frame.file->write_ahead_) LIOD_RETURN_IF_ERROR(frame.file->write_ahead_());
-  LIOD_RETURN_IF_ERROR(frame.file->device_->Write(frame.block, frame.data.get()));
-  if (frame.file->count_io_ && frame.file->stats_ != nullptr) {
-    frame.file->stats_->CountWrite(frame.file->klass_);
-    frame.file->stats_->CountWriteback(frame.file->klass_);
+  // our latch) and is a no-op when the WAL has nothing unforced, so one call
+  // covers every frame written here.
+  if (file->write_ahead_) LIOD_RETURN_IF_ERROR(file->write_ahead_());
+  if (slots.size() == 1) {
+    const Frame& frame = slots_[slots.front()];
+    LIOD_RETURN_IF_ERROR(file->device_->Write(frame.block, frame.data.get()));
+  } else {
+    std::vector<BlockId> ids;
+    std::vector<const std::byte*> datas;
+    ids.reserve(slots.size());
+    datas.reserve(slots.size());
+    for (const std::size_t slot : slots) {
+      ids.push_back(slots_[slot].block);
+      datas.push_back(slots_[slot].data.get());
+    }
+    // Block writes are idempotent, so a failed batch leaves every frame
+    // dirty and the next write-back simply redoes it.
+    LIOD_RETURN_IF_ERROR(file->device_->WriteBatch(ids, datas));
   }
-  frame.dirty = false;
+  for (const std::size_t slot : slots) {
+    if (file->count_io_ && file->stats_ != nullptr) {
+      file->stats_->CountWrite(file->klass_);
+      file->stats_->CountWriteback(file->klass_);
+    }
+    slots_[slot].dirty = false;
+  }
   return Status::Ok();
 }
 
@@ -166,7 +182,7 @@ Status BufferManager::MakeRoomLocked(Pool& pool) {
     Frame& frame = slots_[victim];
     // A failed write-back aborts the triggering operation; the victim stays
     // cached and dirty so no data is lost.
-    if (frame.dirty) LIOD_RETURN_IF_ERROR(WritebackLocked(frame));
+    if (frame.dirty) LIOD_RETURN_IF_ERROR(WritebackLocked(frame.file, {&victim, 1}));
     if (frame.file->count_io_ && frame.file->stats_ != nullptr) {
       frame.file->stats_->CountEviction(frame.file->klass_);
     }
@@ -281,7 +297,7 @@ std::size_t BufferManager::VictimLocked(Pool& pool) {
 }
 
 Status BufferManager::ReadBlockLocked(FileHandle* file, BlockId id, std::size_t offset,
-                                      std::size_t length, std::byte* out) {
+                                      std::size_t length, std::byte* out, bool fetched) {
   Pool& pool = *pools_[file->pool_];
   LIOD_RETURN_IF_ERROR(CheckBudget(pool));
   const auto it = file->frames_.find(id);
@@ -297,22 +313,26 @@ Status BufferManager::ReadBlockLocked(FileHandle* file, BlockId id, std::size_t 
   // (under write-back an eager eviction would even pay a device write for a
   // read that never happens). The seed's BufferPool read-then-evicted too.
   auto data = std::make_unique_for_overwrite<std::byte[]>(file->device_->block_size());
-  LIOD_RETURN_IF_ERROR(file->device_->Read(id, data.get()));
+  if (fetched) {
+    std::memcpy(data.get(), out, file->device_->block_size());
+  } else {
+    LIOD_RETURN_IF_ERROR(file->device_->Read(id, data.get()));
+  }
   if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountRead(file->klass_);
   LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-  std::memcpy(out, data.get() + offset, length);
+  if (!fetched) std::memcpy(out, data.get() + offset, length);
   (void)InsertFrameLocked(file, id, /*dirty=*/false, std::move(data));
   return Status::Ok();
 }
 
-Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
-                                       const std::byte* data) {
+Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id, const std::byte* data,
+                                       bool written) {
   Pool& pool = *pools_[file->pool_];
   LIOD_RETURN_IF_ERROR(CheckBudget(pool));
   const std::size_t block_size = file->device_->block_size();
   if (!options_.write_back) {
     // Write-through: the device write always happens and is always counted.
-    LIOD_RETURN_IF_ERROR(file->device_->Write(id, data));
+    if (!written) LIOD_RETURN_IF_ERROR(file->device_->Write(id, data));
     if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountWrite(file->klass_);
   }
   const bool dirty = options_.write_back;
@@ -335,114 +355,67 @@ Status BufferManager::WriteBlockLocked(FileHandle* file, BlockId id,
   return Status::Ok();
 }
 
-namespace {
-
-/// True when the id sequence is strictly increasing -- the shape the batch
-/// paths are specified for (PagedFile only ever produces it). Anything else
-/// takes the sequential per-id path so its semantics need no batch analysis.
-bool StrictlyIncreasing(std::span<const BlockId> ids) {
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    if (ids[i] <= ids[i - 1]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Status BufferManager::ReadBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
-                                       std::span<std::byte* const> outs) {
-  if (ids.size() < 2 || !file->device_->SupportsBatch() || !StrictlyIncreasing(ids)) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      LIOD_RETURN_IF_ERROR(
-          ReadBlockLocked(file, ids[i], 0, file->device_->block_size(), outs[i]));
-    }
-    return Status::Ok();
-  }
-  Pool& pool = *pools_[file->pool_];
-  LIOD_RETURN_IF_ERROR(CheckBudget(pool));
+Status BufferManager::ReadBlocksLocked(FileHandle* file, BlockId first, std::size_t count,
+                                       std::byte* out) {
   const std::size_t block_size = file->device_->block_size();
-  // In-order replay of the sequential hit/miss state machine -- every counter
-  // increment and every policy Touch/evict/Insert happens at the same point
-  // it would per-id, so counted I/O is bit-identical. Only the misses' device
-  // reads are deferred into one batch submission at the end. A missed block's
-  // frame is inserted "promised" (clean, unfilled); with a budget smaller
-  // than the batch a later miss may evict it again, so the fill loop below
-  // re-looks each miss up and only fills frames that survived.
-  std::vector<BlockId> miss_ids;
-  std::vector<std::byte*> miss_outs;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const BlockId id = ids[i];
-    const auto it = file->frames_.find(id);
-    if (it != file->frames_.end()) {
-      if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-      TouchLocked(pool, it->second);
-      std::memcpy(outs[i], slots_[it->second].data.get(), block_size);
-      continue;
-    }
-    if (file->count_io_ && file->stats_ != nullptr) {
-      file->stats_->CountMiss(file->klass_);
-      file->stats_->CountRead(file->klass_);
-    }
-    miss_ids.push_back(id);
-    miss_outs.push_back(outs[i]);
-    LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-    (void)InsertFrameLocked(file, id, /*dirty=*/false,
-                            std::make_unique_for_overwrite<std::byte[]>(block_size));
+  if (count == 1) return ReadBlockLocked(file, first, 0, block_size, out);
+  LIOD_RETURN_IF_ERROR(CheckBudget(*pools_[file->pool_]));
+  // Fetch the blocks not cached at the start in one submission, before any
+  // frame changes, so a failed fetch caches nothing and evicts nothing. The
+  // probes below then go in order and cache only the run's own blocks, so a
+  // fetched block is still a miss at its probe and caches the fetched bytes;
+  // a block cached at the start but evicted by an earlier miss of the run is
+  // read on its own, exactly as one ReadBlock per block would.
+  std::vector<BlockId> ids;
+  std::vector<std::byte*> outs;
+  for (std::size_t i = 0; i < count; ++i) {
+    const BlockId id = first + static_cast<BlockId>(i);
+    if (file->frames_.contains(id)) continue;
+    ids.push_back(id);
+    outs.push_back(out + i * block_size);
   }
-  if (miss_ids.empty()) return Status::Ok();
-  const Status status = file->device_->ReadBatch(miss_ids, miss_outs);
-  if (!status.ok()) {
-    // Drop the unfilled promised frames: caching garbage would be worse than
-    // the (error-path-only) divergence from the sequential counts.
-    for (const BlockId id : miss_ids) {
-      const auto it = file->frames_.find(id);
-      if (it != file->frames_.end()) DropFrameLocked(it->second);
-    }
-    return status;
-  }
-  for (std::size_t i = 0; i < miss_ids.size(); ++i) {
-    const auto it = file->frames_.find(miss_ids[i]);
-    if (it != file->frames_.end()) {
-      std::memcpy(slots_[it->second].data.get(), miss_outs[i], block_size);
-    }
+  if (!ids.empty()) LIOD_RETURN_IF_ERROR(file->device_->ReadBatch(ids, outs));
+  std::size_t next = 0;  // the first fetched block not probed yet
+  for (std::size_t i = 0; i < count; ++i) {
+    const BlockId id = first + static_cast<BlockId>(i);
+    const bool fetched = next < ids.size() && ids[next] == id;
+    if (fetched) ++next;
+    LIOD_RETURN_IF_ERROR(ReadBlockLocked(file, id, 0, block_size, out + i * block_size, fetched));
   }
   return Status::Ok();
 }
 
-Status BufferManager::WriteBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
-                                        std::span<const std::byte* const> datas) {
-  // Write-back defers all device writes to eviction/flush, so there is
-  // nothing to batch here -- the per-id loop IS the batch path.
-  if (ids.size() < 2 || !file->device_->SupportsBatch() || options_.write_back ||
-      !StrictlyIncreasing(ids)) {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      LIOD_RETURN_IF_ERROR(WriteBlockLocked(file, ids[i], datas[i]));
-    }
-    return Status::Ok();
-  }
-  Pool& pool = *pools_[file->pool_];
-  LIOD_RETURN_IF_ERROR(CheckBudget(pool));
+Status BufferManager::WriteBlocksLocked(FileHandle* file, BlockId first, std::size_t count,
+                                        const std::byte* data) {
   const std::size_t block_size = file->device_->block_size();
-  // Write-through: submit every device write as one batch up front. Under
-  // write-through no frame is ever dirty, so the frame bookkeeping below
-  // performs no device I/O and the device sees the same per-block write order
-  // as the sequential loop.
-  LIOD_RETURN_IF_ERROR(file->device_->WriteBatch(ids, datas));
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const BlockId id = ids[i];
-    if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountWrite(file->klass_);
-    const auto it = file->frames_.find(id);
-    if (it != file->frames_.end()) {
-      if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountHit(file->klass_);
-      TouchLocked(pool, it->second);
-      std::memcpy(slots_[it->second].data.get(), datas[i], block_size);
-      continue;
+  // Write-back defers every device write to eviction or flush, so there is
+  // nothing to submit here.
+  const bool written = !options_.write_back && count > 1;
+  if (written) {
+    LIOD_RETURN_IF_ERROR(CheckBudget(*pools_[file->pool_]));
+    std::vector<BlockId> ids(count);
+    std::vector<const std::byte*> datas(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ids[i] = first + static_cast<BlockId>(i);
+      datas[i] = data + i * block_size;
     }
-    if (file->count_io_ && file->stats_ != nullptr) file->stats_->CountMiss(file->klass_);
-    LIOD_RETURN_IF_ERROR(MakeRoomLocked(pool));
-    const std::size_t slot = InsertFrameLocked(
-        file, id, /*dirty=*/false, std::make_unique_for_overwrite<std::byte[]>(block_size));
-    std::memcpy(slots_[slot].data.get(), datas[i], block_size);
+    const Status status = file->device_->WriteBatch(ids, datas);
+    if (!status.ok()) {
+      // The device may now hold either version of any block of the run, so
+      // no cached frame of it may be served again. Write-through frames are
+      // never dirty: dropping them loses nothing.
+      for (const BlockId id : ids) {
+        const auto it = file->frames_.find(id);
+        if (it != file->frames_.end()) DropFrameLocked(it->second);
+      }
+      return status;
+    }
+  }
+  // Under write-through no frame is dirty, so the bookkeeping below does no
+  // device I/O of its own after the batch.
+  for (std::size_t i = 0; i < count; ++i) {
+    LIOD_RETURN_IF_ERROR(WriteBlockLocked(file, first + static_cast<BlockId>(i),
+                                          data + i * block_size, written));
   }
   return Status::Ok();
 }
@@ -453,39 +426,12 @@ Status BufferManager::FlushLocked(FileHandle* file) {
   for (const auto& [block, slot] : file->frames_) {
     if (slots_[slot].dirty) dirty_slots.push_back(slot);
   }
+  if (dirty_slots.empty()) return Status::Ok();
   std::sort(dirty_slots.begin(), dirty_slots.end(),
             [this](std::size_t a, std::size_t b) {
               return slots_[a].block < slots_[b].block;
             });
-  if (dirty_slots.size() >= 2 && file->device_->SupportsBatch()) {
-    // WAL-before-data once for the whole drain: the hook forces everything
-    // unforced, so the first call covers all N pages (per-page re-invocation
-    // would be a no-op anyway).
-    if (file->write_ahead_) LIOD_RETURN_IF_ERROR(file->write_ahead_());
-    std::vector<BlockId> ids;
-    std::vector<const std::byte*> datas;
-    ids.reserve(dirty_slots.size());
-    datas.reserve(dirty_slots.size());
-    for (std::size_t slot : dirty_slots) {
-      ids.push_back(slots_[slot].block);
-      datas.push_back(slots_[slot].data.get());
-    }
-    // Frames stay dirty on failure; writes are block-granular and idempotent,
-    // so the next flush simply redoes the batch.
-    LIOD_RETURN_IF_ERROR(file->device_->WriteBatch(ids, datas));
-    for (std::size_t slot : dirty_slots) {
-      if (file->count_io_ && file->stats_ != nullptr) {
-        file->stats_->CountWrite(file->klass_);
-        file->stats_->CountWriteback(file->klass_);
-      }
-      slots_[slot].dirty = false;
-    }
-    return Status::Ok();
-  }
-  for (std::size_t slot : dirty_slots) {
-    LIOD_RETURN_IF_ERROR(WritebackLocked(slots_[slot]));
-  }
-  return Status::Ok();
+  return WritebackLocked(file, dirty_slots);
 }
 
 Status BufferManager::FlushAll() {

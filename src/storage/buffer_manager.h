@@ -43,20 +43,20 @@ class FileHandle {
   /// device write is paid (and counted) on eviction or Flush.
   Status WriteBlock(BlockId id, const std::byte* data);
 
-  /// Batch ReadBlock: copies ids[i] into outs[i]. Counted I/O (hits, misses,
-  /// reads, evictions) is bit-identical to calling ReadBlock per id -- the
-  /// per-id hit/miss/eviction state machine runs in order; only the device
-  /// reads of the misses are deferred into one ReadBatch submission. Devices
-  /// without batch support (and non-strictly-increasing id sequences) take
-  /// the sequential path outright.
-  Status ReadBlocks(std::span<const BlockId> ids, std::span<std::byte* const> outs);
+  /// Copies the `count` contiguous blocks starting at `first` into `out`
+  /// (count * block size bytes). ReadBlock's probe runs for each block in
+  /// order, so counted I/O (hits, misses, reads, evictions) is that of one
+  /// ReadBlock per block. The blocks not cached at the start are fetched
+  /// first, in one ReadBatch straight into `out` and before any frame
+  /// changes, so a failed fetch changes no frame.
+  Status ReadBlocks(BlockId first, std::size_t count, std::byte* out);
 
-  /// Batch WriteBlock, same contract: counted I/O bit-identical to the
-  /// per-id loop. Write-through mode submits all device writes as one
-  /// WriteBatch (frames are never dirty under write-through, so the frame
-  /// bookkeeping performs no device I/O of its own); write-back mode has no
-  /// immediate device writes to batch and simply loops.
-  Status WriteBlocks(std::span<const BlockId> ids, std::span<const std::byte* const> datas);
+  /// Writes the `count` contiguous blocks starting at `first` from `data`,
+  /// counted as WriteBlock per block in order. Write-through submits the
+  /// device writes as one WriteBatch first; if it fails, the run's cached
+  /// frames are dropped, since the device may hold either version of any
+  /// of its blocks. Write-back has no device writes to submit.
+  Status WriteBlocks(BlockId first, std::size_t count, const std::byte* data);
 
   /// Writes back every dirty frame of this file; frames stay cached (clean).
   Status Flush();
@@ -201,19 +201,29 @@ class BufferManager {
   };
 
   bool PoolIsPrivateLocked(const FileHandle* file) const;
+  /// The one block probe: counts a hit or a miss, touches recency, and on a
+  /// miss makes room and caches the block. `fetched`: `out` already holds
+  /// the whole block as read from the device (a multi-block read's fetch),
+  /// so a miss caches those bytes instead of reading the device.
   Status ReadBlockLocked(FileHandle* file, BlockId id, std::size_t offset,
-                         std::size_t length, std::byte* out);
-  Status WriteBlockLocked(FileHandle* file, BlockId id, const std::byte* data);
-  Status ReadBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
-                          std::span<std::byte* const> outs);
-  Status WriteBlocksLocked(FileHandle* file, std::span<const BlockId> ids,
-                           std::span<const std::byte* const> datas);
+                         std::size_t length, std::byte* out, bool fetched = false);
+  /// `written`: the caller already wrote `data` to the device (a multi-block
+  /// write-through's WriteBatch); only the count and the frame remain.
+  Status WriteBlockLocked(FileHandle* file, BlockId id, const std::byte* data,
+                          bool written = false);
+  Status ReadBlocksLocked(FileHandle* file, BlockId first, std::size_t count, std::byte* out);
+  Status WriteBlocksLocked(FileHandle* file, BlockId first, std::size_t count,
+                           const std::byte* data);
   Status FlushLocked(FileHandle* file);
   /// Evicts until `pool` has room for one more frame. Dirty victims are
   /// written back (counted); a write-back failure aborts the operation and
   /// leaves the victim cached and dirty.
   Status MakeRoomLocked(Pool& pool);
-  Status WritebackLocked(Frame& frame);
+  /// Writes the dirty frames `slots` of `file` to its device: the
+  /// WAL-before-data hook once, then one Write, or one WriteBatch for
+  /// several frames (in the given order). Counts and cleans them on success;
+  /// on failure they stay dirty.
+  Status WritebackLocked(FileHandle* file, std::span<const std::size_t> slots);
   /// Caches `data` (one block) as block `id` of `file` in a free slot; the
   /// pool must have room.
   std::size_t InsertFrameLocked(FileHandle* file, BlockId id, bool dirty,

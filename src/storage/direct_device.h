@@ -60,7 +60,6 @@ class DirectBlockDevice final : public BlockDevice {
   BlockId num_blocks() const override;
   Status Grow(BlockId new_num_blocks) override;
 
-  bool SupportsBatch() const override { return batching_; }
   Status ReadBatch(std::span<const BlockId> ids, std::span<std::byte* const> outs) override;
   Status WriteBatch(std::span<const BlockId> ids,
                     std::span<const std::byte* const> datas) override;

@@ -87,19 +87,12 @@ Status PagedFile::ReadBytes(std::uint64_t byte_offset, std::uint64_t length, std
     LIOD_RETURN_IF_ERROR(buffer_->ReadBlockRange(block, in_block, chunk, out));
     done += chunk;
   }
-  // Block-aligned middle: one batched submission straight into the caller's
-  // buffer. The ids are consecutive, so a batching device coalesces the whole
-  // span into a single vectored read.
+  // Block-aligned middle: one contiguous run straight into the caller's
+  // buffer, so a batching device fetches its misses in one vectored read.
   const std::uint64_t full = (length - done) / bs;
   if (full > 0) {
-    const BlockId first = static_cast<BlockId>((byte_offset + done) / bs);
-    std::vector<BlockId> ids(full);
-    std::vector<std::byte*> outs(full);
-    for (std::uint64_t i = 0; i < full; ++i) {
-      ids[i] = first + static_cast<BlockId>(i);
-      outs[i] = out + done + i * bs;
-    }
-    LIOD_RETURN_IF_ERROR(buffer_->ReadBlocks(ids, outs));
+    LIOD_RETURN_IF_ERROR(
+        buffer_->ReadBlocks(static_cast<BlockId>((byte_offset + done) / bs), full, out + done));
     done += full * bs;
   }
   // Partial tail block.
@@ -126,17 +119,11 @@ Status PagedFile::WriteBytes(std::uint64_t byte_offset, std::uint64_t length,
     done += chunk;
   }
   // Block-aligned middle: full blocks need no read-modify-write, so they go
-  // out as one batched submission straight from the caller's buffer.
+  // out as one contiguous run straight from the caller's buffer.
   const std::uint64_t full = (length - done) / bs;
   if (full > 0) {
-    const BlockId first = static_cast<BlockId>((byte_offset + done) / bs);
-    std::vector<BlockId> ids(full);
-    std::vector<const std::byte*> datas(full);
-    for (std::uint64_t i = 0; i < full; ++i) {
-      ids[i] = first + static_cast<BlockId>(i);
-      datas[i] = data + done + i * bs;
-    }
-    LIOD_RETURN_IF_ERROR(buffer_->WriteBlocks(ids, datas));
+    LIOD_RETURN_IF_ERROR(buffer_->WriteBlocks(static_cast<BlockId>((byte_offset + done) / bs),
+                                              full, data + done));
     done += full * bs;
   }
   // Partial tail block: read-modify-write.

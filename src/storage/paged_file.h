@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,16 +72,6 @@ class PagedFile {
   Status ReadBlock(BlockId id, std::byte* out) { return buffer_->ReadBlock(id, out); }
   Status WriteBlock(BlockId id, const std::byte* data) {
     return buffer_->WriteBlock(id, data);
-  }
-
-  /// Batch variants: counted I/O is bit-identical to the per-id loops; on a
-  /// batching device the misses (reads) / device writes become one vectored
-  /// submission instead of one syscall per block.
-  Status ReadBlocks(std::span<const BlockId> ids, std::span<std::byte* const> outs) {
-    return buffer_->ReadBlocks(ids, outs);
-  }
-  Status WriteBlocks(std::span<const BlockId> ids, std::span<const std::byte* const> datas) {
-    return buffer_->WriteBlocks(ids, datas);
   }
 
   /// Convenience: read/write an arbitrary byte range that may span blocks.

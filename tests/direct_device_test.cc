@@ -16,6 +16,7 @@
 #include "engine/concurrent_runner.h"
 #include "storage/block_device.h"
 #include "storage/direct_device.h"
+#include "storage/paged_file.h"
 #include "test_util.h"
 #include "workload/datasets.h"
 #include "workload/workloads.h"
@@ -195,7 +196,6 @@ TEST(BatchEquality, FileBlockDeviceUnbatched) {
   FileBlockDevice dev(path, kBs, /*truncate=*/true, /*metrics=*/nullptr,
                       /*batching=*/false);
   ASSERT_TRUE(dev.ok());
-  EXPECT_FALSE(dev.SupportsBatch());
   ExpectBatchMatchesSingles(&dev);
   std::remove(path.c_str());
 }
@@ -282,6 +282,31 @@ TEST(DeviceTelemetry, UnbatchedDeviceSubmitsPerBlock) {
   std::remove(path.c_str());
 }
 
+TEST(DeviceTelemetry, BufferedRunIsOneSubmission) {
+  // A contiguous run through the buffer manager reaches a batching device as
+  // one submission: a write-through run's writes, and the fetch of a read's
+  // uncached blocks. At one frame per file the write leaves only block 7
+  // cached, so reading blocks 0-6 evicts no block of the run (one that was
+  // would be read again on its own).
+  testing_util::ScopedTempDir dir;
+  auto owned = std::make_unique<FileBlockDevice>(dir.path() + "/run.bin", kBs);
+  ASSERT_TRUE(owned->ok());
+  const FileBlockDevice* dev = owned.get();
+  IoStats stats;
+  PagedFile file(std::move(owned), &stats, FileClass::kLeaf, {});
+  (void)file.AllocateRun(8);
+  const auto data = Pattern(8 * kBs, 3);
+  std::uint64_t before = dev->telemetry().submissions();
+  ASSERT_TRUE(file.WriteBytes(0, data.size(), data.data()).ok());
+  EXPECT_EQ(dev->telemetry().submissions() - before, 1u);
+
+  std::vector<std::byte> out(7 * kBs);
+  before = dev->telemetry().submissions();
+  ASSERT_TRUE(file.ReadBytes(0, out.size(), out.data()).ok());
+  EXPECT_EQ(dev->telemetry().submissions() - before, 1u);
+  EXPECT_EQ(0, std::memcmp(out.data(), data.data(), out.size()));
+}
+
 TEST(DeviceTelemetry, DirectBatchCoalescesViaRingOrVectored) {
   const std::string path = TempPath("telemetry_direct");
   DirectBlockDevice dev(path, kBs);
@@ -347,7 +372,8 @@ TEST_P(DevicePinTest, YcsbACountedIoIdenticalAcrossDevices) {
                       name + ": bulkload modeled vs direct");
 }
 
-INSTANTIATE_TEST_SUITE_P(Indexes, DevicePinTest, ::testing::Values("btree", "alex"),
+INSTANTIATE_TEST_SUITE_P(Indexes, DevicePinTest,
+                         ::testing::Values("btree", "fiting", "pgm", "alex", "lipp"),
                          [](const ::testing::TestParamInfo<const char*>& param) {
                            return std::string(param.param);
                          });

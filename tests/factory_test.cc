@@ -31,6 +31,7 @@ TEST(FactoryTest, UnknownNameReturnsNull) {
 TEST(FactoryTest, StudiedNamesAreFiveAndHybridsFour) {
   EXPECT_EQ(StudiedIndexNames().size(), 5u);
   EXPECT_EQ(HybridIndexNames().size(), 4u);
+  EXPECT_EQ(IndexNames(), AllRegisteredNames());
 }
 
 TEST(FactoryTest, EveryNameConstructsBulkloadsAndRoundTrips) {

@@ -16,6 +16,7 @@
 #include "storage/fault_injection_device.h"
 #include "storage/io_stats.h"
 #include "storage/paged_file.h"
+#include "test_util.h"
 
 namespace liod {
 namespace {
@@ -597,6 +598,75 @@ TEST(BufferManager, EvictionOrderMatchesAReferenceModelAcrossPools) {
   }
 }
 
+TEST(BufferManager, MultiBlockReadCountsLikeThePerBlockLoop) {
+  // A multi-block read fetches the blocks not cached at its start in one
+  // submission, then probes block by block. Its counts, its bytes and the
+  // cache it leaves must be those of one one-block read per block: also when
+  // an earlier miss of the run evicts a block cached at its start (small
+  // budgets), and when a victim is dirty (write-back).
+  constexpr BlockId kBlocks = 10;
+  const BlockId rewritten[] = {3, 6};
+  const auto contents = Pattern(kBlocks * kBs, 7);
+  const auto rewrite = Pattern(kBs, 91);
+  std::vector<std::byte> want = contents;
+  for (const BlockId b : rewritten) std::memcpy(want.data() + b * kBs, rewrite.data(), kBs);
+  testing_util::ScopedTempDir dir;
+  int device_files = 0;
+  for (const bool file_device : {false, true}) {
+    for (const bool write_back : {false, true}) {
+      for (const std::size_t budget : {1u, 2u, 3u, 8u}) {
+        const std::string label = std::string(file_device ? "file" : "memory") +
+                                  (write_back ? " write-back" : " write-through") +
+                                  " budget " + std::to_string(budget);
+        BufferManager::Options options;
+        options.write_back = write_back;
+        BufferManager manager(options);
+        IoStats stats[2];
+        std::unique_ptr<PagedFile> files[2];
+        for (int f = 0; f < 2; ++f) {
+          std::unique_ptr<BlockDevice> device = std::make_unique<MemoryBlockDevice>(kBs);
+          if (file_device) {
+            device = std::make_unique<FileBlockDevice>(
+                dir.path() + "/" + std::to_string(device_files++) + ".bin", kBs);
+          }
+          files[f] = std::make_unique<PagedFile>(std::move(device), &manager, &stats[f],
+                                                 FileClass::kLeaf,
+                                                 PagedFileOptions{.buffer_pool_blocks = budget});
+          (void)files[f]->AllocateRun(kBlocks);
+          ASSERT_TRUE(files[f]->WriteBytes(0, contents.size(), contents.data()).ok()) << label;
+          for (const BlockId b : rewritten) {
+            ASSERT_TRUE(files[f]->WriteBytes(b * kBs, kBs, rewrite.data()).ok()) << label;
+          }
+          stats[f].Reset();
+        }
+        // Blocks 1-8: one 8-block read, and eight one-block reads.
+        std::vector<std::byte> run(8 * kBs);
+        std::vector<std::byte> singles(8 * kBs);
+        ASSERT_TRUE(files[0]->ReadBytes(kBs, run.size(), run.data()).ok()) << label;
+        for (BlockId b = 0; b < 8; ++b) {
+          ASSERT_TRUE(files[1]->ReadBytes((b + 1) * kBs, kBs, singles.data() + b * kBs).ok())
+              << label;
+        }
+        EXPECT_EQ(stats[0].snapshot(), stats[1].snapshot())
+            << label << ": " << stats[0].snapshot().ToString() << " vs "
+            << stats[1].snapshot().ToString();
+        EXPECT_EQ(0, std::memcmp(run.data(), want.data() + kBs, run.size())) << label;
+        EXPECT_EQ(0, std::memcmp(singles.data(), want.data() + kBs, singles.size())) << label;
+        // The same cache: a following pass over all ten blocks counts alike.
+        std::vector<std::byte> all(kBlocks * kBs);
+        for (int f = 0; f < 2; ++f) {
+          stats[f].Reset();
+          ASSERT_TRUE(files[f]->ReadBytes(0, all.size(), all.data()).ok()) << label;
+          EXPECT_EQ(0, std::memcmp(all.data(), want.data(), all.size())) << label;
+        }
+        EXPECT_EQ(stats[0].snapshot(), stats[1].snapshot())
+            << label << ": " << stats[0].snapshot().ToString() << " vs "
+            << stats[1].snapshot().ToString();
+      }
+    }
+  }
+}
+
 // --- PagedFile ----------------------------------------------------------
 
 PagedFile MakeMemFile(IoStats* stats, PagedFileOptions options = {}) {
@@ -925,6 +995,65 @@ TEST(FaultInjection, FailedReadBytesCachesNothingAndEvictsNothing) {
   ASSERT_TRUE(file.ReadBytes(kBs + 10, out.size(), out.data()).ok());
   EXPECT_EQ(stats.snapshot().TotalReads(), 1u);
   EXPECT_EQ(0, std::memcmp(out.data(), data.data() + kBs + 10, out.size()));
+}
+
+TEST(FaultInjection, FailedMultiBlockReadCachesNothingAndEvictsNothing) {
+  // A multi-block read fetches its misses before any frame changes: when the
+  // fetch fails, nothing is cached, evicted or counted as read, and the
+  // frames cached before it still hit.
+  auto* raw = new FaultInjectionDevice(std::make_unique<MemoryBlockDevice>(kBs));
+  IoStats stats;
+  PagedFile file(std::unique_ptr<BlockDevice>(raw), &stats, FileClass::kLeaf,
+                 {.buffer_pool_blocks = 2});
+  (void)file.AllocateRun(6);
+  const auto data = Pattern(6 * kBs, 13);
+  ASSERT_TRUE(file.WriteBytes(0, data.size(), data.data()).ok());  // caches blocks 4-5
+  stats.Reset();
+
+  raw->FailBlock(2);
+  std::vector<std::byte> out(4 * kBs);
+  EXPECT_EQ(file.ReadBytes(0, out.size(), out.data()).code(), Status::Code::kIoError);
+  EXPECT_EQ(file.buffer().cached_blocks(), 2u);
+  EXPECT_EQ(stats.snapshot().TotalEvictions(), 0u);
+  EXPECT_EQ(stats.snapshot().TotalReads(), 0u);
+  std::vector<std::byte> cached(2 * kBs);
+  ASSERT_TRUE(file.ReadBytes(4 * kBs, cached.size(), cached.data()).ok());
+  EXPECT_EQ(stats.snapshot().TotalHits(), 2u);
+  EXPECT_EQ(0, std::memcmp(cached.data(), data.data() + 4 * kBs, cached.size()));
+
+  raw->ClearFailBlock();
+  ASSERT_TRUE(file.ReadBytes(0, out.size(), out.data()).ok());
+  EXPECT_EQ(stats.snapshot().TotalReads(), 4u);
+  EXPECT_EQ(0, std::memcmp(out.data(), data.data(), out.size()));
+}
+
+TEST(FaultInjection, FailedMultiBlockWriteLeavesNoStaleFrame) {
+  // A write-through run reaches the device as one batch. When the batch
+  // fails part-way, the device may hold the new bytes of some blocks and the
+  // old bytes of others, so afterwards every block must read as the device
+  // holds it, not as a frame cached before the write.
+  auto* raw = new FaultInjectionDevice(std::make_unique<MemoryBlockDevice>(kBs));
+  IoStats stats;
+  PagedFile file(std::unique_ptr<BlockDevice>(raw), &stats, FileClass::kLeaf,
+                 {.buffer_pool_blocks = 4});
+  (void)file.AllocateRun(4);
+  const auto old_data = Pattern(4 * kBs, 17);
+  ASSERT_TRUE(file.WriteBytes(0, old_data.size(), old_data.data()).ok());
+  ASSERT_EQ(file.buffer().cached_blocks(), 4u);
+
+  raw->FailBlock(2);
+  const auto new_data = Pattern(4 * kBs, 61);
+  EXPECT_EQ(file.WriteBytes(0, new_data.size(), new_data.data()).code(),
+            Status::Code::kIoError);
+  raw->ClearFailBlock();
+
+  std::vector<std::byte> got(4 * kBs);
+  ASSERT_TRUE(file.ReadBytes(0, got.size(), got.data()).ok());
+  std::vector<std::byte> on_device(kBs);
+  for (BlockId b = 0; b < 4; ++b) {
+    ASSERT_TRUE(raw->Read(b, on_device.data()).ok());
+    EXPECT_EQ(0, std::memcmp(got.data() + b * kBs, on_device.data(), kBs)) << "block " << b;
+  }
 }
 
 TEST(FaultInjection, FailedReadLeavesVictimCachedAndDirty) {

@@ -86,6 +86,7 @@
 #include <thread>
 
 #include "common/flags.h"
+#include "core/index_factory.h"
 #include "storage/device_factory.h"
 #include "engine/concurrent_runner.h"
 #include "engine/sharded_engine.h"
@@ -142,8 +143,7 @@ struct CliArgs {
 
 void AddEngineFlags(FlagTable& flags, CliArgs& a) {
   IndexOptions& o = a.options;
-  flags.String("--index", &a.index, "NAME",
-               "one of btree fiting pgm alex alex-l1 lipp hybrid-{fiting,pgm,alex,lipp}")
+  flags.Choice("--index", &a.index, NamedChoices(IndexNames()), "index structure")
       .Choice("--dataset", &a.dataset, NamedChoices(AllDatasetNames()), "synthetic dataset")
       .Number("--bulk", &a.bulk, "N", "records bulkloaded before the measured phase")
       .Number("--seed", &a.seed, "N", "dataset and workload seed")
