@@ -39,8 +39,8 @@ inline const char* BufferPolicyName(BufferPolicy policy) {
 /// device type).
 enum class DeviceKind {
   kModeled,  ///< in-RAM MemoryBlockDevice (default; the determinism oracle)
-  kFile,     ///< buffered file I/O (pread/pwrite + preadv/pwritev batches)
-  kDirect,   ///< O_DIRECT + aligned buffers, io_uring/preadv batch submission
+  kFile,     ///< FileBlockDevice, buffered (pread/pwrite + preadv/pwritev batches)
+  kDirect,   ///< FileBlockDevice in direct mode: O_DIRECT through an aligned arena
 };
 
 inline const char* DeviceKindName(DeviceKind kind) {
@@ -277,10 +277,10 @@ struct IndexOptions {
 
   /// Unit: flag; default true; consumed by the real devices. When true,
   /// multi-block reads/writes coalesce contiguous runs into vectored batch
-  /// submissions (io_uring where available, preadv/pwritev otherwise): an
-  /// N-block fetch is one submission, not N syscalls. False issues one
-  /// syscall per block -- the CI baseline that pins the batch path's syscall
-  /// savings. Never changes counted I/O, only how the device submits it.
+  /// submissions (one preadv/pwritev per run): an N-block fetch is one
+  /// submission, not N syscalls. False issues one syscall per block -- the
+  /// CI baseline that pins the batch path's syscall savings. Never changes
+  /// counted I/O, only how the device submits it.
   bool device_batching = true;
 
   // --- B+-tree ----------------------------------------------------------

@@ -1,7 +1,7 @@
 #include "storage/block_device.h"
 
 #include <fcntl.h>
-#include <limits.h>
+#include <stdlib.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -15,9 +15,16 @@ namespace liod {
 
 namespace {
 
-/// iovec entries per vectored submission. UIO_MAXIOV is 1024 on Linux; stay
-/// at that bound so one run never fails with EINVAL.
+/// Blocks per buffered run: UIO_MAXIOV is 1024 on Linux; stay at that bound
+/// so one run never fails with EINVAL.
 constexpr std::size_t kMaxIov = 1024;
+
+/// Blocks per direct run: bounds the bounce arena (256 x 4 KiB = 1 MiB).
+constexpr std::size_t kMaxArenaBlocks = 256;
+
+/// O_DIRECT buffer alignment: one page satisfies every filesystem's sector
+/// requirement (512 or 4096).
+constexpr std::size_t kArenaAlign = 4096;
 
 double ElapsedUs(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -79,6 +86,11 @@ Status BlockDevice::WriteBatch(std::span<const BlockId> ids,
 
 // --- full-transfer loops ----------------------------------------------------
 
+namespace {
+
+/// Loops ::pread until `count` bytes at `offset` are transferred, retrying
+/// EINTR and short reads. A zero-byte transfer (EOF before `count` bytes) and
+/// any error surface errno in the Status message.
 Status PreadFull(int fd, std::byte* buf, std::size_t count, off_t offset,
                  const std::string& path) {
   std::size_t done = 0;
@@ -98,6 +110,8 @@ Status PreadFull(int fd, std::byte* buf, std::size_t count, off_t offset,
   return Status::Ok();
 }
 
+/// Loops ::pwrite until `count` bytes at `offset` are transferred, retrying
+/// EINTR and short writes; errors surface errno in the Status message.
 Status PwriteFull(int fd, const std::byte* buf, std::size_t count, off_t offset,
                   const std::string& path) {
   std::size_t done = 0;
@@ -116,6 +130,8 @@ Status PwriteFull(int fd, const std::byte* buf, std::size_t count, off_t offset,
   }
   return Status::Ok();
 }
+
+}  // namespace
 
 // --- MemoryBlockDevice ------------------------------------------------------
 
@@ -151,24 +167,37 @@ Status MemoryBlockDevice::Grow(BlockId new_num_blocks) {
 // --- FileBlockDevice --------------------------------------------------------
 
 FileBlockDevice::FileBlockDevice(const std::string& path, std::size_t block_size,
-                                 bool truncate, MetricRegistry* metrics, bool batching)
-    : BlockDevice(block_size), path_(path), batching_(batching), telemetry_(metrics) {
+                                 const FileDeviceOptions& options)
+    : BlockDevice(block_size),
+      path_(path),
+      batching_(options.batching),
+      telemetry_(options.metrics) {
   int flags = O_RDWR | O_CREAT;
-  if (truncate) flags |= O_TRUNC;
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ >= 0 && !truncate) {
+  if (options.truncate) flags |= O_TRUNC;
+  if (options.direct) {
+    fd_ = ::open(path.c_str(), flags | O_DIRECT, 0644);
+    direct_ = fd_ >= 0;
+    // tmpfs before Linux 6.4 rejects O_DIRECT at open: go on buffered.
+    if (!direct_) telemetry_.RecordFallback();
+  }
+  if (fd_ < 0) fd_ = ::open(path.c_str(), flags, 0644);
+  if (fd_ >= 0 && !options.truncate) {
     const off_t end = ::lseek(fd_, 0, SEEK_END);
     if (end > 0) num_blocks_ = static_cast<BlockId>(static_cast<std::size_t>(end) / block_size);
   }
 }
 
 FileBlockDevice::~FileBlockDevice() {
+  ::free(arena_);
   if (fd_ >= 0) ::close(fd_);
 }
 
 Status FileBlockDevice::Read(BlockId id, std::byte* out) {
-  if (id >= num_blocks_) {
-    return Status::OutOfRange("read past device end: block " + std::to_string(id));
+  const BlockId ids[] = {id};
+  LIOD_RETURN_IF_ERROR(CheckRange(ids, "read"));
+  if (direct_) {
+    std::byte* const outs[] = {out};
+    return RunIo(ids, outs, {}, /*write=*/false);
   }
   const off_t off = static_cast<off_t>(id) * static_cast<off_t>(block_size());
   const auto start = telemetry_.timed() ? std::chrono::steady_clock::now()
@@ -179,8 +208,11 @@ Status FileBlockDevice::Read(BlockId id, std::byte* out) {
 }
 
 Status FileBlockDevice::Write(BlockId id, const std::byte* data) {
-  if (id >= num_blocks_) {
-    return Status::OutOfRange("write past device end: block " + std::to_string(id));
+  const BlockId ids[] = {id};
+  LIOD_RETURN_IF_ERROR(CheckRange(ids, "write"));
+  if (direct_) {
+    const std::byte* const datas[] = {data};
+    return RunIo(ids, {}, datas, /*write=*/true);
   }
   const off_t off = static_cast<off_t>(id) * static_cast<off_t>(block_size());
   const auto start = telemetry_.timed() ? std::chrono::steady_clock::now()
@@ -216,55 +248,96 @@ Status FileBlockDevice::ReadBatch(std::span<const BlockId> ids,
                                   std::span<std::byte* const> outs) {
   if (!batching_) return BlockDevice::ReadBatch(ids, outs);
   LIOD_RETURN_IF_ERROR(CheckRange(ids, "read"));
-  return BatchIo(ids, outs, {}, /*write=*/false);
+  return RunIo(ids, outs, {}, /*write=*/false);
 }
 
 Status FileBlockDevice::WriteBatch(std::span<const BlockId> ids,
                                    std::span<const std::byte* const> datas) {
   if (!batching_) return BlockDevice::WriteBatch(ids, datas);
   LIOD_RETURN_IF_ERROR(CheckRange(ids, "write"));
-  return BatchIo(ids, {}, datas, /*write=*/true);
+  return RunIo(ids, {}, datas, /*write=*/true);
 }
 
-Status FileBlockDevice::BatchIo(std::span<const BlockId> ids, std::span<std::byte* const> outs,
-                                std::span<const std::byte* const> datas, bool write) {
+std::byte* FileBlockDevice::EnsureArena(std::size_t bytes) {
+  if (arena_bytes_ >= bytes) return arena_;
+  std::size_t want = arena_bytes_ == 0 ? kArenaAlign : arena_bytes_;
+  while (want < bytes) want *= 2;
+  void* fresh = nullptr;
+  if (::posix_memalign(&fresh, kArenaAlign, want) != 0) return nullptr;
+  ::free(arena_);
+  arena_ = static_cast<std::byte*>(fresh);
+  arena_bytes_ = want;
+  return arena_;
+}
+
+void FileBlockDevice::DropODirect() {
+  const int flags = ::fcntl(fd_, F_GETFL);
+  if (flags >= 0) (void)::fcntl(fd_, F_SETFL, flags & ~O_DIRECT);
+  direct_ = false;
+  telemetry_.RecordFallback();
+}
+
+Status FileBlockDevice::RunIo(std::span<const BlockId> ids, std::span<std::byte* const> outs,
+                              std::span<const std::byte* const> datas, bool write) {
   const std::size_t bs = block_size();
   std::size_t i = 0;
   std::vector<struct iovec> iov;
   while (i < ids.size()) {
-    // Maximal contiguous run starting at i, capped at one iovec table.
+    // A run that starts in direct mode bounces through the arena to its end,
+    // also when the filesystem rejects O_DIRECT on the way.
+    const bool bounce = direct_;
+    const std::size_t cap = bounce ? kMaxArenaBlocks : kMaxIov;
     std::size_t run = 1;
-    while (i + run < ids.size() && run < kMaxIov && ids[i + run] == ids[i + run - 1] + 1) {
+    while (i + run < ids.size() && run < cap && ids[i + run] == ids[i + run - 1] + 1) {
       ++run;
+    }
+    std::byte* arena = nullptr;
+    if (bounce) {
+      arena = EnsureArena(run * bs);
+      if (arena == nullptr) return Status::IoError("posix_memalign failed for " + path_);
     }
     iov.resize(run);
     for (std::size_t k = 0; k < run; ++k) {
-      iov[k] = {write ? const_cast<std::byte*>(datas[i + k]) : outs[i + k], bs};
+      std::byte* block = write ? const_cast<std::byte*>(datas[i + k]) : outs[i + k];
+      if (bounce) {
+        if (write) std::memcpy(arena + k * bs, block, bs);
+        block = arena + k * bs;
+      }
+      iov[k] = {block, bs};
     }
     const off_t off = static_cast<off_t>(ids[i]) * static_cast<off_t>(bs);
     const std::size_t want = run * bs;
     const auto start = telemetry_.timed() ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
-    ssize_t n;
-    do {
+    ssize_t n = -1;
+    for (;;) {
       n = write ? ::pwritev(fd_, iov.data(), static_cast<int>(run), off)
                 : ::preadv(fd_, iov.data(), static_cast<int>(run), off);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return ErrnoStatus(write ? "pwritev" : "preadv", path_, errno);
+      if (n >= 0) break;
+      if (errno == EINTR) continue;
+      // The filesystem took the O_DIRECT open but refuses the transfer: go
+      // on buffered. Any other error (EIO, ENOSPC, ...) keeps O_DIRECT.
+      if (errno == EINVAL && direct_) {
+        DropODirect();
+        continue;
+      }
+      return ErrnoStatus(write ? "pwritev" : "preadv", path_, errno);
+    }
     telemetry_.RecordSubmission(run, telemetry_.timed() ? ElapsedUs(start) : 0.0);
     if (static_cast<std::size_t>(n) < want) {
-      // Short vectored transfer: finish the run with the plain full-transfer
-      // loop instead of re-slicing the iovec table.
-      telemetry_.RecordFallback();
-      std::size_t done = static_cast<std::size_t>(n);
-      while (done < want) {
-        const std::size_t in_block = done % bs;
-        std::byte* block = static_cast<std::byte*>(iov[done / bs].iov_base) + in_block;
-        const off_t at = off + static_cast<off_t>(done);
-        LIOD_RETURN_IF_ERROR(write ? PwriteFull(fd_, block, bs - in_block, at, path_)
-                                   : PreadFull(fd_, block, bs - in_block, at, path_));
-        done += bs - in_block;
+      // Short vectored transfer: redo every block it did not finish with the
+      // full-transfer loop. Whole blocks keep O_DIRECT's alignment, and
+      // moving a block's bytes again is idempotent.
+      for (std::size_t k = static_cast<std::size_t>(n) / bs; k < run; ++k) {
+        std::byte* block = static_cast<std::byte*>(iov[k].iov_base);
+        const off_t at = off + static_cast<off_t>(k * bs);
+        LIOD_RETURN_IF_ERROR(write ? PwriteFull(fd_, block, bs, at, path_)
+                                   : PreadFull(fd_, block, bs, at, path_));
       }
+      telemetry_.RecordFallback();
+    }
+    if (bounce && !write) {
+      for (std::size_t k = 0; k < run; ++k) std::memcpy(outs[i + k], arena + k * bs, bs);
     }
     i += run;
   }

@@ -1,8 +1,6 @@
 #ifndef LIOD_STORAGE_BLOCK_DEVICE_H_
 #define LIOD_STORAGE_BLOCK_DEVICE_H_
 
-#include <sys/types.h>
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,13 +22,13 @@ class MetricRegistry;  // telemetry/metric_registry.h
 /// un-prefixed shared "device.*" namespace (every device on one registry
 /// aggregates into the same counters):
 ///
-///   device.submissions      one per I/O submission (syscall or uring enter)
+///   device.submissions      one per I/O submission (one pread, pwrite,
+///                           preadv or pwritev call)
 ///   device.coalesced_blocks blocks that rode along in a submission instead
 ///                           of costing their own syscall (L-1 per L-block
 ///                           submission)
 ///   device.fallbacks        degradations taken: O_DIRECT rejected by the
-///                           filesystem, io_uring unavailable, a vectored op
-///                           completing short
+///                           filesystem, or a vectored op completing short
 ///   device.io_us            wall time per submission (histogram; its count
 ///                           equals device.submissions when the registry is
 ///                           bound at construction)
@@ -65,9 +63,8 @@ class DeviceTelemetry {
 
 /// Abstract fixed-block-size storage device. All index data flows through
 /// this interface so that every block transfer is observable; the simulated
-/// MemoryBlockDevice backs the evaluation, while FileBlockDevice and
-/// DirectBlockDevice (storage/direct_device.h) run the same code against a
-/// real filesystem.
+/// MemoryBlockDevice backs the evaluation, while FileBlockDevice runs the
+/// same code against a real filesystem.
 class BlockDevice {
  public:
   explicit BlockDevice(std::size_t block_size) : block_size_(block_size) {}
@@ -104,18 +101,6 @@ class BlockDevice {
   std::size_t block_size_;
 };
 
-/// Loops ::pread until `count` bytes at `offset` are transferred, retrying
-/// EINTR and short reads. A zero-byte transfer (EOF before `count` bytes) and
-/// any error surface errno in the Status message. Shared by FileBlockDevice
-/// and DirectBlockDevice.
-Status PreadFull(int fd, std::byte* buf, std::size_t count, off_t offset,
-                 const std::string& path);
-
-/// Loops ::pwrite until `count` bytes at `offset` are transferred, retrying
-/// EINTR and short writes; errors surface errno in the Status message.
-Status PwriteFull(int fd, const std::byte* buf, std::size_t count, off_t offset,
-                  const std::string& path);
-
 /// In-RAM simulated disk. Backs the evaluation: exact, deterministic, and
 /// fast, while preserving block-transfer granularity.
 class MemoryBlockDevice final : public BlockDevice {
@@ -131,19 +116,39 @@ class MemoryBlockDevice final : public BlockDevice {
   std::vector<std::unique_ptr<std::byte[]>> blocks_;
 };
 
-/// File-backed device using buffered POSIX pread/pwrite, with contiguous
-/// runs of a batch coalesced into single preadv/pwritev submissions.
+/// Construction options of FileBlockDevice.
+struct FileDeviceOptions {
+  /// Truncates the file at open; false keeps its blocks (a reopen).
+  bool truncate = true;
+  /// Bypasses the page cache: opens with O_DIRECT and moves every transfer
+  /// through an aligned bounce arena. A filesystem that rejects O_DIRECT
+  /// (EINVAL, at open or on a transfer) leaves the device buffered, counted
+  /// as one device.fallbacks event.
+  bool direct = false;
+  /// False degrades every batch to one syscall per block (the CI comparison
+  /// baseline).
+  bool batching = true;
+  /// Optional, must outlive the device: aggregates submissions into the
+  /// shared "device.*" namespace.
+  MetricRegistry* metrics = nullptr;
+};
+
+/// File-backed device with two modes. Buffered mode issues POSIX pread/pwrite
+/// straight from the caller's buffers. Direct mode bounces through a
+/// posix_memalign'd arena, because O_DIRECT needs sector-aligned buffers,
+/// offsets and lengths (block_size is a power of two >= 512, so block
+/// offsets are aligned already). In both modes a batch submits each
+/// contiguous run as one preadv/pwritev.
 class FileBlockDevice final : public BlockDevice {
  public:
-  /// Creates (truncates) or opens `path`. Check `ok()` before use. `metrics`
-  /// (optional, must outlive the device) aggregates submissions into the
-  /// shared "device.*" namespace; `batching` false degrades every batch to
-  /// one syscall per block (the CI comparison baseline).
-  FileBlockDevice(const std::string& path, std::size_t block_size, bool truncate = true,
-                  MetricRegistry* metrics = nullptr, bool batching = true);
+  /// Creates (truncates) or opens `path`. Check `ok()` before use.
+  FileBlockDevice(const std::string& path, std::size_t block_size,
+                  const FileDeviceOptions& options = {});
   ~FileBlockDevice() override;
 
   bool ok() const { return fd_ >= 0; }
+  /// False in buffered mode, and after the filesystem rejected O_DIRECT.
+  bool using_o_direct() const { return direct_; }
   const DeviceTelemetry& telemetry() const { return telemetry_; }
 
   Status Read(BlockId id, std::byte* out) override;
@@ -157,17 +162,27 @@ class FileBlockDevice final : public BlockDevice {
 
  private:
   Status CheckRange(std::span<const BlockId> ids, const char* what) const;
-  /// Shared body of ReadBatch/WriteBatch: one preadv/pwritev per maximal
-  /// contiguous run (capped at one iovec table); a short completion finishes
-  /// the run with the full-transfer loop.
-  Status BatchIo(std::span<const BlockId> ids, std::span<std::byte* const> outs,
-                 std::span<const std::byte* const> datas, bool write);
+  /// Body of the batch ops, and of Read/Write in direct mode: one
+  /// preadv/pwritev per maximal contiguous run, capped at one iovec table
+  /// (buffered) or one arena (direct). A short completion finishes the run
+  /// with the full-transfer loop.
+  Status RunIo(std::span<const BlockId> ids, std::span<std::byte* const> outs,
+               std::span<const std::byte* const> datas, bool write);
+  /// Aligned bounce arena of at least `bytes` (grows geometrically); null
+  /// only when the allocation fails.
+  std::byte* EnsureArena(std::size_t bytes);
+  /// Clears O_DIRECT from the fd after the filesystem rejected a transfer;
+  /// counted.
+  void DropODirect();
 
   int fd_ = -1;
   BlockId num_blocks_ = 0;
   std::string path_;
+  bool direct_ = false;
   bool batching_ = true;
   DeviceTelemetry telemetry_;
+  std::byte* arena_ = nullptr;
+  std::size_t arena_bytes_ = 0;
 };
 
 }  // namespace liod

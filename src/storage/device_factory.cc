@@ -4,8 +4,6 @@
 
 #include <atomic>
 
-#include "storage/direct_device.h"
-
 namespace liod {
 
 namespace {
@@ -27,18 +25,11 @@ Status MakeBlockDevice(const IndexOptions& options, const std::string& label,
   const std::uint64_t id = g_device_counter.fetch_add(1);
   const std::string path = dir + "/liod_" + std::to_string(::getpid()) + "_" +
                            std::to_string(id) + "_" + label + ".bin";
-  if (options.device == DeviceKind::kFile) {
-    auto device = std::make_unique<FileBlockDevice>(path, options.block_size,
-                                                    /*truncate=*/true, options.metrics,
-                                                    options.device_batching);
-    if (!device->ok()) return Status::IoError("cannot create " + path);
-    *out = std::move(device);
-    return Status::Ok();
-  }
-  DirectDeviceOptions direct_options;
-  direct_options.batching = options.device_batching;
-  direct_options.metrics = options.metrics;
-  auto device = std::make_unique<DirectBlockDevice>(path, options.block_size, direct_options);
+  auto device = std::make_unique<FileBlockDevice>(
+      path, options.block_size,
+      FileDeviceOptions{.direct = options.device == DeviceKind::kDirect,
+                        .batching = options.device_batching,
+                        .metrics = options.metrics});
   if (!device->ok()) return Status::IoError("cannot create " + path);
   *out = std::move(device);
   return Status::Ok();

@@ -11,10 +11,11 @@
 namespace liod {
 
 /// Builds the block device every paged file sits on, honoring
-/// options.device / device_path / device_batching. Real devices get a unique file name derived from the pid, a
-/// process-wide counter, and `label` (e.g. the FileClass name), and bind
-/// their submission telemetry to options.metrics. Fails with kIoError when
-/// the backing file cannot be created.
+/// options.device / device_path / device_batching. A real device is a
+/// FileBlockDevice (kDirect: in direct mode) on a file named from the pid, a
+/// process-wide counter, and `label` (e.g. the FileClass name), and binds its
+/// submission telemetry to options.metrics. Fails with kIoError when the
+/// backing file cannot be created.
 Status MakeBlockDevice(const IndexOptions& options, const std::string& label,
                        std::unique_ptr<BlockDevice>* out);
 

@@ -1,7 +1,7 @@
-// Real-I/O device tests: DirectBlockDevice (O_DIRECT + io_uring ladder),
-// FileBlockDevice vectored batching, byte-equality of the batch entry points
-// against sequences of single-block ops on every device, and the bit-exact
-// counted-I/O pin across modeled / file / direct backends.
+// Real-I/O device tests: FileBlockDevice in direct mode (O_DIRECT and its
+// counted fallback), vectored batching, byte-equality of the batch entry
+// points against sequences of single-block ops on every device, and the
+// bit-exact counted-I/O pin across modeled / file / direct backends.
 
 #include <unistd.h>
 
@@ -15,7 +15,6 @@
 
 #include "engine/concurrent_runner.h"
 #include "storage/block_device.h"
-#include "storage/direct_device.h"
 #include "storage/paged_file.h"
 #include "test_util.h"
 #include "workload/datasets.h"
@@ -27,6 +26,7 @@ namespace {
 using testing_util::ExpectSameCountedIo;
 
 constexpr std::size_t kBs = 4096;
+constexpr FileDeviceOptions kDirectMode{.direct = true};
 
 std::vector<std::byte> Pattern(std::size_t size, unsigned char seed) {
   std::vector<std::byte> data(size);
@@ -41,11 +41,11 @@ std::string TempPath(const char* name) {
          ".bin";
 }
 
-// --- DirectBlockDevice single-block ops ---------------------------------
+// --- direct mode single-block ops --------------------------------------
 
 TEST(DirectBlockDevice, RoundTrip) {
   const std::string path = TempPath("roundtrip");
-  DirectBlockDevice dev(path, kBs);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   ASSERT_TRUE(dev.Grow(4).ok());
   const auto data = Pattern(kBs, 7);
@@ -58,7 +58,7 @@ TEST(DirectBlockDevice, RoundTrip) {
 
 TEST(DirectBlockDevice, GrowZeroFills) {
   const std::string path = TempPath("grow");
-  DirectBlockDevice dev(path, kBs);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   ASSERT_TRUE(dev.Grow(3).ok());
   EXPECT_EQ(dev.num_blocks(), 3u);
@@ -70,7 +70,7 @@ TEST(DirectBlockDevice, GrowZeroFills) {
 
 TEST(DirectBlockDevice, OutOfRangeFails) {
   const std::string path = TempPath("range");
-  DirectBlockDevice dev(path, kBs);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   ASSERT_TRUE(dev.Grow(2).ok());
   std::vector<std::byte> buf(kBs);
@@ -84,9 +84,7 @@ TEST(DirectBlockDevice, OutOfRangeFails) {
 
 TEST(DirectBlockDevice, BufferedFallbackWhenODirectDisabled) {
   const std::string path = TempPath("noodirect");
-  DirectDeviceOptions options;
-  options.try_o_direct = false;
-  DirectBlockDevice dev(path, kBs, options);
+  FileBlockDevice dev(path, kBs, {.direct = false});
   ASSERT_TRUE(dev.ok());
   EXPECT_FALSE(dev.using_o_direct());
   ASSERT_TRUE(dev.Grow(2).ok());
@@ -105,7 +103,7 @@ TEST(DirectBlockDevice, ODirectOnTmpfsEitherWorksOrFallsBackCounted) {
   if (::access("/dev/shm", W_OK) != 0) GTEST_SKIP() << "/dev/shm not writable";
   const std::string path =
       "/dev/shm/liod_dd_" + std::to_string(::getpid()) + "_tmpfs.bin";
-  DirectBlockDevice dev(path, kBs);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   EXPECT_TRUE(dev.using_o_direct() || dev.telemetry().fallbacks() >= 1);
   ASSERT_TRUE(dev.Grow(2).ok());
@@ -119,14 +117,20 @@ TEST(DirectBlockDevice, ODirectOnTmpfsEitherWorksOrFallsBackCounted) {
 
 TEST(DirectBlockDevice, TruncatedFileSurfacesEofNotGarbage) {
   const std::string path = TempPath("eof");
-  DirectBlockDevice dev(path, kBs);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   ASSERT_TRUE(dev.Grow(4).ok());
   // Yank the backing storage out from under the device: reads past the new
   // EOF must fail loudly (zero-byte transfer -> IoError), never return junk.
+  // An EOF is no O_DIRECT rejection: the device stays in its mode and
+  // counts no fallback.
   ASSERT_EQ(::truncate(path.c_str(), kBs), 0);
+  const bool direct_before = dev.using_o_direct();
+  const std::uint64_t fallbacks_before = dev.telemetry().fallbacks();
   std::vector<std::byte> out(kBs);
   EXPECT_FALSE(dev.Read(2, out.data()).ok());
+  EXPECT_EQ(dev.using_o_direct(), direct_before);
+  EXPECT_EQ(dev.telemetry().fallbacks(), fallbacks_before);
   std::remove(path.c_str());
 }
 
@@ -193,8 +197,7 @@ TEST(BatchEquality, FileBlockDevice) {
 
 TEST(BatchEquality, FileBlockDeviceUnbatched) {
   const std::string path = TempPath("file_nobatch");
-  FileBlockDevice dev(path, kBs, /*truncate=*/true, /*metrics=*/nullptr,
-                      /*batching=*/false);
+  FileBlockDevice dev(path, kBs, {.batching = false});
   ASSERT_TRUE(dev.ok());
   ExpectBatchMatchesSingles(&dev);
   std::remove(path.c_str());
@@ -202,29 +205,7 @@ TEST(BatchEquality, FileBlockDeviceUnbatched) {
 
 TEST(BatchEquality, DirectBlockDevice) {
   const std::string path = TempPath("direct_batch");
-  DirectBlockDevice dev(path, kBs);
-  ASSERT_TRUE(dev.ok());
-  ExpectBatchMatchesSingles(&dev);
-  std::remove(path.c_str());
-}
-
-TEST(BatchEquality, DirectBlockDeviceWithoutUring) {
-  const std::string path = TempPath("direct_nouring");
-  DirectDeviceOptions options;
-  options.try_io_uring = false;
-  DirectBlockDevice dev(path, kBs, options);
-  ASSERT_TRUE(dev.ok());
-  EXPECT_FALSE(dev.using_io_uring());
-  ExpectBatchMatchesSingles(&dev);
-  std::remove(path.c_str());
-}
-
-TEST(BatchEquality, DirectBlockDeviceBufferedNoUring) {
-  const std::string path = TempPath("direct_buffered");
-  DirectDeviceOptions options;
-  options.try_o_direct = false;
-  options.try_io_uring = false;
-  DirectBlockDevice dev(path, kBs, options);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   ExpectBatchMatchesSingles(&dev);
   std::remove(path.c_str());
@@ -264,8 +245,7 @@ TEST(DeviceTelemetry, ContiguousBatchIsOneSubmission) {
 
 TEST(DeviceTelemetry, UnbatchedDeviceSubmitsPerBlock) {
   const std::string path = TempPath("telemetry_nobatch");
-  FileBlockDevice dev(path, kBs, /*truncate=*/true, /*metrics=*/nullptr,
-                      /*batching=*/false);
+  FileBlockDevice dev(path, kBs, {.batching = false});
   ASSERT_TRUE(dev.ok());
   ASSERT_TRUE(dev.Grow(8).ok());
   std::vector<BlockId> ids(8);
@@ -309,7 +289,7 @@ TEST(DeviceTelemetry, BufferedRunIsOneSubmission) {
 
 TEST(DeviceTelemetry, DirectBatchCoalescesViaRingOrVectored) {
   const std::string path = TempPath("telemetry_direct");
-  DirectBlockDevice dev(path, kBs);
+  FileBlockDevice dev(path, kBs, kDirectMode);
   ASSERT_TRUE(dev.ok());
   ASSERT_TRUE(dev.Grow(16).ok());
   std::vector<BlockId> ids(12);
@@ -323,8 +303,7 @@ TEST(DeviceTelemetry, DirectBatchCoalescesViaRingOrVectored) {
   const std::uint64_t subs_before = dev.telemetry().submissions();
   const std::uint64_t coalesced_before = dev.telemetry().coalesced_blocks();
   ASSERT_TRUE(dev.WriteBatch(ids, datas).ok());
-  // One contiguous 12-block run is one submission whether it went through
-  // io_uring or a single pwritev.
+  // One contiguous 12-block run is one pwritev, out of the bounce arena.
   EXPECT_EQ(dev.telemetry().submissions() - subs_before, 1u);
   EXPECT_EQ(dev.telemetry().coalesced_blocks() - coalesced_before, 11u);
   std::remove(path.c_str());

@@ -84,7 +84,7 @@ TEST(FileBlockDevice, ReopenPreservesContents) {
     ASSERT_TRUE(dev.Write(1, data.data()).ok());
   }
   {
-    FileBlockDevice dev(path, kBs, /*truncate=*/false);
+    FileBlockDevice dev(path, kBs, {.truncate = false});
     ASSERT_TRUE(dev.ok());
     EXPECT_EQ(dev.num_blocks(), 2u);
     std::vector<std::byte> out(kBs);

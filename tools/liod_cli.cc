@@ -672,14 +672,11 @@ int ServeCommand(const CliArgs& args) {
                    ec.message().c_str());
       return 1;
     }
+    const FileDeviceOptions durable{.truncate = !args.recover, .metrics = telemetry.metrics()};
     for (std::size_t i = 0; i < args.shards; ++i) {
       const std::string base = args.wal_dir + "/shard" + std::to_string(i);
-      auto wal = std::make_unique<FileBlockDevice>(base + ".wal", options.block_size,
-                                                   /*truncate=*/!args.recover,
-                                                   telemetry.metrics());
-      auto ckpt = std::make_unique<FileBlockDevice>(base + ".ckpt", options.block_size,
-                                                    /*truncate=*/!args.recover,
-                                                    telemetry.metrics());
+      auto wal = std::make_unique<FileBlockDevice>(base + ".wal", options.block_size, durable);
+      auto ckpt = std::make_unique<FileBlockDevice>(base + ".ckpt", options.block_size, durable);
       if (!wal->ok() || !ckpt->ok()) {
         std::fprintf(stderr, "cannot open durable files %s.{wal,ckpt}%s\n", base.c_str(),
                      args.recover ? " (is --wal-dir from the previous serve?)" : "");
